@@ -23,7 +23,6 @@
 use std::io::{BufRead, Read, Write};
 use std::time::Instant;
 
-use pp_bench::experiments::json_escape;
 use pp_bench::json::{self, Value};
 use pp_core::Direction;
 use pp_engine::policy::{BEAMER_ALPHA, BEAMER_BETA};
@@ -57,7 +56,7 @@ commands:
              [--reorder degree|bfs] [--weights LO:HI] [--lp-iters K]
              [--bc-sources K] [--json PATH] [--trace PATH] [--metrics PATH]
       runs a registry algorithm; --json dumps a machine-readable report
-      ('-' = stdout) whose rows match `tables engine --json`.
+      ('-' = stdout) with one dataset/mode/algo/threads/ms row.
       --sources batches bfs (alias msbfs) over up to 64 distinct sources
       in ONE bit-parallel traversal (one lane per source); the summary
       and JSON report carry per-source reached/depth digests.
@@ -722,20 +721,19 @@ struct RunJson<'a> {
     run: &'a AlgoRun,
 }
 
-/// The sections `--json` and `--metrics` share: the `rows` array matches
-/// the record shape of `tables engine --json`
-/// (`dataset`/`mode`/`algo`/`threads`/`ms`), so perf-trajectory tooling
-/// can consume every harness file with one parser; `graph` and `summary`
-/// carry the input's shape and the run's output digest.
+/// The sections `--json` and `--metrics` share: one `rows` record
+/// (`dataset`/`mode`/`algo`/`threads`/`ms`) naming what ran and how long
+/// it took; `graph` and `summary` carry the input's shape and the run's
+/// output digest.
 fn push_common_sections(out: &mut String, j: &RunJson<'_>) {
     out.push_str("  \"experiment\": \"ppgraph\",\n");
     out.push_str(&format!(
         "  \"rows\": [\n    {{\"dataset\": \"{}\", \"mode\": \"{}\", \"algo\": \"{} {}\", \
          \"threads\": {}, \"ms\": {:.3}}}\n  ],\n",
-        json_escape(j.dataset),
-        json_escape(j.mode),
-        json_escape(j.algo),
-        json_escape(j.policy),
+        json::escape(j.dataset),
+        json::escape(j.mode),
+        json::escape(j.algo),
+        json::escape(j.policy),
         j.threads,
         j.ms
     ));
@@ -761,7 +759,7 @@ fn push_common_sections(out: &mut String, j: &RunJson<'_>) {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+        out.push_str(&format!("\"{}\": \"{}\"", json::escape(k), json::escape(v)));
     }
     out.push_str("},\n");
 }

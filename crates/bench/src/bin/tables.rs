@@ -3,18 +3,16 @@
 //!
 //! ```text
 //! tables <experiment> [--scale test|small|medium] [--threads N] [--samples K]
-//!                     [--json <path>]
 //!
 //! experiments:
 //!   table1 table2 table3 table4 fig1 fig2 fig3 fig4 fig5 fig6a fig6b
-//!   weak pram ext engine all
+//!   weak pram ext all
 //! ```
 
 use pp_bench::experiments::{self, Ctx};
 
 const USAGE: &str = "\
 usage: tables <experiment> [--scale test|small|medium] [--threads N] [--samples K]
-              [--json <path>]
 
 experiments:
   table1   PAPI-style event counts for PR/TC/BGC/SSSP (push|push+PA|pull)
@@ -32,16 +30,7 @@ experiments:
   pram     the §4 PRAM analysis table
   ext      tech-report extensions: new algorithms, SM/DM SSSP inversion,
            vertex-order x prefetcher cache ablation
-  engine   pp-engine scaling: all ten Programs vs threads per direction
-           policy (push | pull | adaptive) x execution mode (atomic | pa)
   all      everything above
-
-options:
-  --json <path>   additionally dump the sweep as machine-readable JSON
-                  (supported by: engine) for perf-trajectory tracking;
-                  the committed baseline at BENCH_engine.json is refreshed
-                  each PR with `tables engine --scale test --samples 1
-                  --json BENCH_engine.json` and diffed in CI
 ";
 
 fn main() {
@@ -77,16 +66,7 @@ fn main() {
                     .filter(|&k: &usize| k >= 1)
                     .unwrap_or_else(|| die("--samples expects a positive integer"));
             }
-            "--json" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .filter(|p| !p.is_empty())
-                    .unwrap_or_else(|| die("--json expects a file path"));
-                // Leaked once per invocation so Ctx stays Copy.
-                ctx.json = Some(Box::leak(path.clone().into_boxed_str()));
-            }
-            other => die(&format!("unknown option: {other}")),
+            other => die(&format!("unknown option: {other}\n\n{USAGE}")),
         }
         i += 1;
     }
@@ -110,7 +90,6 @@ fn main() {
         "ext1" => experiments::ext::run_algorithms(ctx),
         "ext2" => experiments::ext::run_sm_dm_inversion(ctx),
         "ext3" => experiments::ext::run_locality(ctx),
-        "engine" => experiments::engine::run(ctx),
         "all" => {
             experiments::table2::run(ctx);
             experiments::table1::run(ctx);
@@ -125,7 +104,6 @@ fn main() {
             experiments::weak::run(ctx);
             experiments::pram_table::run(ctx);
             experiments::ext::run(ctx);
-            experiments::engine::run(ctx);
         }
         other => die(&format!("unknown experiment: {other}\n\n{USAGE}")),
     }

@@ -2,7 +2,6 @@
 //! exposes `run(ctx)` printing the same rows/series the paper reports;
 //! the `tables` binary dispatches to them.
 
-pub mod engine;
 pub mod ext;
 pub mod fig1;
 pub mod fig2;
@@ -28,11 +27,6 @@ pub struct Ctx {
     pub threads: usize,
     /// Timing samples per measurement (median reported).
     pub samples: usize,
-    /// Where to dump the sweep as machine-readable JSON (experiments that
-    /// support it, currently `engine`) in addition to the printed tables.
-    /// `&'static` keeps `Ctx` `Copy`; the `tables` binary leaks its one
-    /// CLI argument to produce it.
-    pub json: Option<&'static str>,
 }
 
 impl Default for Ctx {
@@ -41,16 +35,8 @@ impl Default for Ctx {
             scale: Scale::Small,
             threads: 8,
             samples: 3,
-            json: None,
         }
     }
-}
-
-/// Minimal JSON string escaping for the hand-rolled dumps (no serde in the
-/// offline build environment). Delegates to the serve crate's writer so
-/// the dumps and the query protocol escape identically.
-pub fn json_escape(s: &str) -> String {
-    crate::json::escape(s)
 }
 
 /// Parses a `--scale` value.
@@ -104,14 +90,5 @@ mod tests {
         let c = Ctx::default();
         assert!(c.threads >= 1);
         assert!(c.samples >= 1);
-        assert!(c.json.is_none());
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -10,7 +10,6 @@ fn ctx() -> Ctx {
         scale: Scale::Test,
         threads: 2,
         samples: 1,
-        json: None,
     }
 }
 
@@ -77,20 +76,4 @@ fn pram_table_runs() {
 #[test]
 fn ext_runs() {
     experiments::ext::run(ctx());
-}
-
-#[test]
-fn engine_runs_and_dumps_json() {
-    let path = std::env::temp_dir().join("pp_engine_sweep_smoke.json");
-    let leaked: &'static str = Box::leak(path.to_string_lossy().into_owned().into_boxed_str());
-    experiments::engine::run(Ctx {
-        json: Some(leaked),
-        ..ctx()
-    });
-    let dump = std::fs::read_to_string(&path).expect("--json dump must exist");
-    assert!(dump.contains("\"experiment\": \"engine\""));
-    assert!(dump.contains("\"mode\": \"atomic\""));
-    assert!(dump.contains("\"mode\": \"pa\""));
-    assert!(dump.trim_start().starts_with('{') && dump.trim_end().ends_with('}'));
-    let _ = std::fs::remove_file(&path);
 }
