@@ -23,13 +23,13 @@
 use std::io::{BufRead, Read, Write};
 use std::time::Instant;
 
-use pp_bench::json::{self, Value};
 use pp_core::Direction;
 use pp_engine::policy::{BEAMER_ALPHA, BEAMER_BETA};
 use pp_engine::registry::{self, AlgoRun, RunConfig};
 use pp_engine::{ingest, DirectionPolicy, Engine, ExecutionMode, ProbeShards};
 use pp_graph::datasets::{Dataset, Scale};
 use pp_graph::{gen, io as gio, reorder, snapshot, stats, CsrGraph, VertexId, Weight};
+use pp_serve::json::{self, Value};
 use pp_serve::{Client, ServeConfig, Server};
 use pp_telemetry::{CountingProbe, EventCounts, MetricsLevel, NullProbe};
 

@@ -5,11 +5,6 @@
 
 pub mod experiments;
 
-/// The hand-rolled JSON reader/writer now lives in `pp-serve` (the query
-/// protocol parses untrusted input with it); re-exported here so the
-/// harness's `pp_bench::json::...` paths keep working.
-pub use pp_serve::json;
-
 use std::time::{Duration, Instant};
 
 /// Runs `f` once and returns its wall-clock time with the result.

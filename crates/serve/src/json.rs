@@ -13,9 +13,6 @@
 //! (no comments, no trailing commas). Malformed input yields a
 //! [`ParseError`] with a byte offset, never a panic: a bad query line must
 //! turn into a structured `bad_request` response, not kill the server.
-//!
-//! This module lived in `pp-bench` before the serve subsystem; `pp-bench`
-//! re-exports it (`pp_bench::json`) so existing paths keep working.
 
 use std::collections::BTreeMap;
 use std::fmt;

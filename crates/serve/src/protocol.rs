@@ -465,18 +465,9 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// `errors` decomposed by [`RunError::kind`] tag, tag-sorted.
     pub errors_by_kind: Vec<(String, u64)>,
-    /// Per-query end-to-end latency: count, mean, p50/p95/p99, max (ns).
-    pub latency_count: u64,
-    /// Mean latency in nanoseconds.
-    pub latency_mean_ns: f64,
-    /// Median latency estimate (ns).
-    pub latency_p50_ns: u64,
-    /// 95th-percentile latency estimate (ns).
-    pub latency_p95_ns: u64,
-    /// 99th-percentile latency estimate (ns).
-    pub latency_p99_ns: u64,
-    /// Largest observed latency (ns).
-    pub latency_max_ns: u64,
+    /// Since-boot end-to-end latency (admission to completion) of the
+    /// queries served successfully.
+    pub latency: LatencySummary,
     /// Width of the trailing metrics window, in seconds.
     pub window_s: f64,
     /// Since-boot queue-wait latency across all algorithms.
@@ -489,7 +480,7 @@ pub struct StatsSnapshot {
     pub window_run_lat: LatencySummary,
     /// Per-algorithm breakdown, algorithm-sorted.
     pub per_algo: Vec<AlgoStats>,
-    /// Per-worker-runner busy share (`0.0..=1.0`), sampled at dequeue.
+    /// Per-worker-runner busy share (`0.0..=1.0`) at the snapshot.
     pub worker_utilization: Vec<f64>,
     /// Batched runs executed (each covers ≥ 2 coalesced queries).
     pub batches: u64,
@@ -538,17 +529,8 @@ pub fn render_stats(s: &StatsSnapshot) -> String {
     }
     out.push('}');
     out.push_str(&format!(
-        ", \"latency\": {{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \
-         \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-        s.latency_count,
-        s.latency_mean_ns,
-        s.latency_p50_ns,
-        s.latency_p95_ns,
-        s.latency_p99_ns,
-        s.latency_max_ns
-    ));
-    out.push_str(&format!(
-        ", \"breakdown\": {{\"queue\": {}, \"run\": {}}}",
+        ", \"latency\": {}, \"breakdown\": {{\"queue\": {}, \"run\": {}}}",
+        s.latency.render(),
         s.queue_lat.render(),
         s.run_lat.render()
     ));
@@ -765,12 +747,14 @@ mod tests {
                 ("bad_param".to_string(), 1),
                 ("unknown_algo".to_string(), 1),
             ],
-            latency_count: 100,
-            latency_mean_ns: 1500.5,
-            latency_p50_ns: 1023,
-            latency_p95_ns: 2047,
-            latency_p99_ns: 4095,
-            latency_max_ns: 5000,
+            latency: LatencySummary {
+                count: 100,
+                mean_ns: 1500.5,
+                p50_ns: 1023,
+                p95_ns: 2047,
+                p99_ns: 4095,
+                max_ns: 5000,
+            },
             window_s: 60.0,
             queue_lat: LatencySummary {
                 count: 100,

@@ -27,9 +27,10 @@
 //!   `queue_ns + run_ns == latency_ns` — the same clock readings feed all
 //!   three, so the identity is exact — into per-`{algo, outcome}`
 //!   [`pp_telemetry::MetricsRegistry`] histograms (windowed: every series
-//!   answers both "since boot" and "last 60 s"). The `stats` meta-query
-//!   reports the split alongside the PR-7 end-to-end percentiles; the
-//!   `metrics` meta-query returns the whole registry as Prometheus text
+//!   answers both "since boot" and "last 60 s"): [`M_QUEUE_NS`],
+//!   [`M_RUN_NS`] and their sum, [`M_LATENCY_NS`]. The registry is the
+//!   only store of service statistics: the `stats` meta-query is a view of
+//!   it, and the `metrics` meta-query returns it whole as Prometheus text
 //!   exposition.
 //! * **Per-query tracing** — with [`ServeConfig::trace_queries`] set, each
 //!   query contributes a queue-wait async span (the admission lane, where
@@ -56,7 +57,7 @@
 //!
 //! [`registry`]: pp_engine::registry
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,10 +68,10 @@ use std::time::Duration;
 use pp_engine::algo::msbfs::MAX_LANES;
 use pp_engine::registry::{self, RunConfig};
 use pp_engine::{Engine, ProbeShards};
-use pp_graph::{CsrGraph, VertexId};
+use pp_graph::CsrGraph;
 use pp_telemetry::timing::Clock;
 use pp_telemetry::trace::ArgValue;
-use pp_telemetry::{ChromeTrace, Labels, LogHistogram, MetricsLevel, MetricsRegistry, NullProbe};
+use pp_telemetry::{ChromeTrace, Labels, MetricsLevel, MetricsRegistry, NullProbe};
 
 use crate::protocol::{
     self, parse_request, AlgoStats, LatencySplit, LatencySummary, QuerySpec, Request,
@@ -84,7 +85,13 @@ pub const M_QUERIES: &str = "pp_serve_queries_total";
 pub const M_QUEUE_NS: &str = "pp_serve_queue_ns";
 /// Dequeue→completion execution time, per `{algo, outcome}` (ns).
 pub const M_RUN_NS: &str = "pp_serve_run_ns";
-/// Jobs waiting in the admission queue (sampled at dequeue and at render).
+/// Admission→completion time (`queue_ns + run_ns` of the same query), per
+/// `{algo, outcome}` (ns).
+pub const M_LATENCY_NS: &str = "pp_serve_latency_ns";
+/// Run queries answered with a structured error, per
+/// [`registry::RunError::kind`] tag.
+pub const M_ERRORS: &str = "pp_serve_errors_total";
+/// Jobs waiting in the admission queue (sampled at render).
 pub const M_QUEUE_DEPTH: &str = "pp_serve_queue_depth";
 /// Share of wall-clock each worker runner spent executing queries.
 pub const M_WORKER_UTIL: &str = "pp_serve_worker_utilization";
@@ -285,16 +292,10 @@ struct Core {
     cfg: ServeConfig,
     queue: JobQueue,
     clock: Clock,
-    served: AtomicU64,
-    rejected: AtomicU64,
-    errors: AtomicU64,
-    latency: Mutex<LogHistogram>,
-    /// Labeled service series: query counters, queue/run histograms,
-    /// depth/utilization gauges — everything `metrics` exposes.
+    /// Every service statistic: query and error counters, queue/run/latency
+    /// and batch-size histograms, point-in-time gauges. `stats` and
+    /// `metrics` both read it.
     metrics: MetricsRegistry,
-    /// Structured-error tally by [`registry::RunError::kind`] tag. A
-    /// `Mutex<BTreeMap>` is fine: the error path is cold.
-    errors_by_kind: Mutex<BTreeMap<String, u64>>,
     /// Nanoseconds each worker runner has spent executing queries.
     worker_busy_ns: Vec<AtomicU64>,
     /// Per-query trace events; `Some` iff `cfg.trace_queries` is set.
@@ -302,12 +303,14 @@ struct Core {
     /// Monotonic query sequence — trace span correlation ids.
     seq: AtomicU64,
     stop: AtomicBool,
-    /// Coalesced batched runs executed (each covered ≥ 2 queries).
-    batches: AtomicU64,
-    /// Queries answered through a shared batched run.
-    coalesced: AtomicU64,
-    /// Largest batch executed so far (queries per run).
-    max_batch: AtomicU64,
+}
+
+/// The value of label `key` in `labels`, if present.
+fn label<'a>(labels: &'a Labels, key: &str) -> Option<&'a str> {
+    labels
+        .pairs()
+        .iter()
+        .find_map(|(k, v)| (k == key).then_some(v.as_str()))
 }
 
 /// Whether a query can join a coalesced batch: a batchable registry
@@ -319,42 +322,59 @@ fn coalescable(spec: &QuerySpec, n: usize) -> bool {
 }
 
 impl Core {
+    /// Share of wall-clock each worker runner has spent executing queries.
+    fn worker_utilization(&self, now_ns: u64) -> Vec<f64> {
+        self.worker_busy_ns
+            .iter()
+            // ORDERING: Relaxed — statistics read for reporting; a reading
+            // that trails a concurrent bump is an acceptable snapshot.
+            .map(|busy| (busy.load(Ordering::Relaxed) as f64 / now_ns.max(1) as f64).min(1.0))
+            .collect()
+    }
+
+    /// The `stats` view of the registry. Query outcomes come from one read
+    /// of [`M_QUERIES`], so `served`/`errors`/`rejected` and the per-algo
+    /// rows always agree with each other.
     fn snapshot(&self) -> StatsSnapshot {
         let now_ns = self.clock.now_ns();
-        let queue_split = self.metrics.histogram_merged(M_QUEUE_NS, now_ns, |_| true);
-        let run_split = self.metrics.histogram_merged(M_RUN_NS, now_ns, |_| true);
-        let mut per_algo = Vec::new();
-        for algo in self.metrics.label_values(M_QUERIES, "algo") {
-            let outcome = |o: &str| {
-                let labels = Labels::new([("algo", algo.as_str()), ("outcome", o)]);
-                self.metrics.counter_value(M_QUERIES, &labels).unwrap_or(0)
-            };
-            let of_algo = |l: &Labels| {
-                l.pairs()
-                    .iter()
-                    .any(|(k, v)| k == "algo" && v == algo.as_str())
-            };
-            let q = self.metrics.histogram_merged(M_QUEUE_NS, now_ns, of_algo);
-            let r = self.metrics.histogram_merged(M_RUN_NS, now_ns, of_algo);
-            per_algo.push(AlgoStats {
-                algo: algo.clone(),
-                served: outcome("ok"),
-                errors: outcome("error"),
-                queue: LatencySummary::from(&q.total),
-                run: LatencySummary::from(&r.total),
-                window_queue: LatencySummary::from(&q.windowed),
-                window_run: LatencySummary::from(&r.windowed),
-            });
+        let merged = |name: &str, keep: &dyn Fn(&Labels) -> bool| {
+            self.metrics.histogram_merged(name, now_ns, keep)
+        };
+        let (mut served, mut errors, mut rejected) = (0, 0, 0);
+        let mut per_algo: Vec<AlgoStats> = Vec::new();
+        // Label-sorted, so each algorithm's outcomes are adjacent.
+        for (labels, n) in self.metrics.counter_series(M_QUERIES) {
+            let algo = label(&labels, "algo").unwrap_or_default();
+            if per_algo.last().map(|a| a.algo.as_str()) != Some(algo) {
+                let of_algo = |l: &Labels| label(l, "algo") == Some(algo);
+                let q = merged(M_QUEUE_NS, &of_algo);
+                let r = merged(M_RUN_NS, &of_algo);
+                per_algo.push(AlgoStats {
+                    algo: algo.to_string(),
+                    queue: LatencySummary::from(&q.total),
+                    run: LatencySummary::from(&r.total),
+                    window_queue: LatencySummary::from(&q.windowed),
+                    window_run: LatencySummary::from(&r.windowed),
+                    ..AlgoStats::default()
+                });
+            }
+            let row = per_algo.last_mut().expect("pushed above");
+            match label(&labels, "outcome") {
+                Some("ok") => {
+                    served += n;
+                    row.served += n;
+                }
+                Some("error") => {
+                    errors += n;
+                    row.errors += n;
+                }
+                _ => rejected += n,
+            }
         }
-        // ORDERING: Relaxed throughout the snapshot — these are monotonic
-        // statistics counters read for reporting; a reading that trails a
-        // concurrent bump by one is an acceptable snapshot.
-        let worker_utilization = self
-            .worker_busy_ns
-            .iter()
-            .map(|busy| (busy.load(Ordering::Relaxed) as f64 / now_ns.max(1) as f64).min(1.0))
-            .collect();
-        let lat = self.latency.lock().unwrap();
+        let queue_split = merged(M_QUEUE_NS, &|_| true);
+        let run_split = merged(M_RUN_NS, &|_| true);
+        let latency = merged(M_LATENCY_NS, &|l| label(l, "outcome") == Some("ok"));
+        let batch = merged(M_BATCH_SIZE, &|_| true).total;
         StatsSnapshot {
             uptime_ns: now_ns,
             dataset: self.cfg.name.clone(),
@@ -364,34 +384,26 @@ impl Core {
             threads_per_worker: self.cfg.threads,
             queue_capacity: self.cfg.queue,
             queue_depth: self.queue.depth(),
-            // ORDERING: Relaxed — same snapshot discipline as above.
-            served: self.served.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
+            served,
+            rejected,
+            errors,
             errors_by_kind: self
-                .errors_by_kind
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
+                .metrics
+                .counter_series(M_ERRORS)
+                .into_iter()
+                .map(|(l, n)| (label(&l, "kind").unwrap_or_default().to_string(), n))
                 .collect(),
-            latency_count: lat.count(),
-            latency_mean_ns: lat.mean(),
-            latency_p50_ns: lat.p50(),
-            latency_p95_ns: lat.p95(),
-            latency_p99_ns: lat.p99(),
-            latency_max_ns: lat.max(),
+            latency: LatencySummary::from(&latency.total),
             window_s: self.metrics.window_ns() as f64 / 1e9,
             queue_lat: LatencySummary::from(&queue_split.total),
             run_lat: LatencySummary::from(&run_split.total),
             window_queue_lat: LatencySummary::from(&queue_split.windowed),
             window_run_lat: LatencySummary::from(&run_split.windowed),
             per_algo,
-            worker_utilization,
-            // ORDERING: Relaxed — same snapshot discipline as above.
-            batches: self.batches.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            worker_utilization: self.worker_utilization(now_ns),
+            batches: batch.count(),
+            coalesced: batch.sum(),
+            max_batch: batch.max(),
         }
     }
 
@@ -430,10 +442,7 @@ impl Core {
             &none,
             self.graph.num_edges() as f64,
         );
-        for (w, busy) in self.worker_busy_ns.iter().enumerate() {
-            // ORDERING: Relaxed — statistics read for a gauge; a reading
-            // that trails a concurrent bump by one is acceptable.
-            let util = (busy.load(Ordering::Relaxed) as f64 / now_ns.max(1) as f64).min(1.0);
+        for (w, util) in self.worker_utilization(now_ns).into_iter().enumerate() {
             self.metrics.set_gauge(
                 M_WORKER_UTIL,
                 "Share of wall-clock each worker runner spent executing queries.",
@@ -493,37 +502,22 @@ impl Core {
                 };
                 let rejected_ns = job.admitted_ns;
                 let seq = job.seq;
-                match self.queue.try_push(job) {
-                    Ok(()) => {}
-                    Err(PushError::Full) => {
-                        // ORDERING: Relaxed — statistics counter.
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.count_query(&algo, "rejected");
-                        self.trace_rejection(&algo, seq, rejected_ns);
-                        write_line(
-                            out,
-                            &protocol::render_error(
-                                id.as_deref(),
-                                KIND_OVERLOADED,
-                                &format!("admission queue full (capacity {})", self.cfg.queue),
-                            ),
-                        );
-                    }
-                    Err(PushError::Closed) => {
-                        // ORDERING: Relaxed — statistics counter.
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.count_query(&algo, "rejected");
-                        self.trace_rejection(&algo, seq, rejected_ns);
-                        write_line(
-                            out,
-                            &protocol::render_error(
-                                id.as_deref(),
-                                KIND_SHUTTING_DOWN,
-                                "server is draining; no new queries",
-                            ),
-                        );
-                    }
-                }
+                let Err(refused) = self.queue.try_push(job) else {
+                    return;
+                };
+                let (kind, message) = match refused {
+                    PushError::Full => (
+                        KIND_OVERLOADED,
+                        format!("admission queue full (capacity {})", self.cfg.queue),
+                    ),
+                    PushError::Closed => (
+                        KIND_SHUTTING_DOWN,
+                        "server is draining; no new queries".to_string(),
+                    ),
+                };
+                self.count_query(&algo, "rejected");
+                self.trace_rejection(&algo, seq, rejected_ns);
+                write_line(out, &protocol::render_error(id.as_deref(), kind, &message));
             }
         }
     }
@@ -544,168 +538,24 @@ impl Core {
         }
     }
 
-    /// Executes one admitted job on worker `worker`'s engine and answers
-    /// it, stamping the queue/run latency decomposition.
-    fn execute(&self, worker: usize, engine: &Engine, probes: &ProbeShards<NullProbe>, job: Job) {
-        let Job {
-            spec,
-            out,
-            admitted_ns,
-            seq,
-        } = job;
-        let dequeued_ns = self.clock.now_ns();
-        let queue_ns = dequeued_ns.saturating_sub(admitted_ns);
-        // The depth gauge samples at dequeue: the moment load is visible.
-        self.metrics.set_gauge(
-            M_QUEUE_DEPTH,
-            "Jobs waiting in the admission queue.",
-            &Labels::none(),
-            self.queue.depth() as f64,
-        );
-        let cfg = RunConfig {
-            policy: spec.policy,
-            mode: spec.mode,
-            collect: if spec.metrics {
-                MetricsLevel::Timing
-            } else {
-                MetricsLevel::Off
-            },
-            source: spec.source,
-            lp_iters: spec.lp_iters,
-            bc_sources: spec.bc_sources,
-            ..RunConfig::new(engine, probes)
-        };
-        let result = registry::run_checked(&spec.algo, &cfg, &self.graph);
-        let done_ns = self.clock.now_ns();
-        // All three figures come from the same two clock readings, so the
-        // decomposition is exact: queue_ns + run_ns == latency_ns.
-        let run_ns = done_ns.saturating_sub(dequeued_ns);
-        let latency_ns = queue_ns + run_ns;
-        let ms = run_ns as f64 / 1e6;
-        let algo = algo_label(&spec.algo);
-        let outcome = if result.is_ok() { "ok" } else { "error" };
-        self.count_query(&algo, outcome);
-        let labels = Labels::new([("algo", algo.as_str()), ("outcome", outcome)]);
-        self.metrics.observe(
-            M_QUEUE_NS,
-            "Admission-to-dequeue wait in nanoseconds.",
-            &labels,
-            done_ns,
-            queue_ns,
-        );
-        self.metrics.observe(
-            M_RUN_NS,
-            "Dequeue-to-completion execution time in nanoseconds.",
-            &labels,
-            done_ns,
-            run_ns,
-        );
-        let busy = &self.worker_busy_ns[worker];
-        // ORDERING: Relaxed — per-worker statistics accumulator; only
-        // this worker writes it, others read it for gauges.
-        let busy_ns = busy.fetch_add(run_ns, Ordering::Relaxed) + run_ns;
-        self.metrics.set_gauge(
-            M_WORKER_UTIL,
-            "Share of wall-clock each worker runner spent executing queries.",
-            &Labels::new([("worker", worker.to_string())]),
-            (busy_ns as f64 / done_ns.max(1) as f64).min(1.0),
-        );
-        if let Some(trace) = &self.trace {
-            let mut t = trace.lock().unwrap();
-            let wait = format!("queue {algo}");
-            t.async_begin(
-                wait.clone(),
-                "queue",
-                TID_ADMISSION,
-                admitted_ns,
-                seq,
-                vec![
-                    ("algo".to_string(), ArgValue::from(algo.as_str())),
-                    ("query".to_string(), ArgValue::from(seq)),
-                ],
-            );
-            t.async_end(wait, "queue", TID_ADMISSION, dequeued_ns, seq);
-            let mut run_args = vec![
-                ("algo".to_string(), ArgValue::from(algo.as_str())),
-                ("outcome".to_string(), ArgValue::from(outcome)),
-                ("query".to_string(), ArgValue::from(seq)),
-                ("queue_ns".to_string(), ArgValue::from(queue_ns)),
-            ];
-            if let Some(id) = &spec.id {
-                // The client's raw id scalar: lets a trace consumer join
-                // spans back to response lines exactly.
-                run_args.push(("id".to_string(), ArgValue::from(id.as_str())));
-            }
-            t.duration(
-                format!("run {algo}"),
-                "run",
-                TID_WORKER_BASE + worker as u32,
-                dequeued_ns,
-                run_ns,
-                run_args,
-            );
-        }
-        let line = match &result {
-            Ok(run) => {
-                // ORDERING: Relaxed — statistics counter.
-                self.served.fetch_add(1, Ordering::Relaxed);
-                self.latency.lock().unwrap().record(latency_ns);
-                protocol::render_run_response(
-                    &spec,
-                    &self.cfg.name,
-                    engine.threads(),
-                    run,
-                    ms,
-                    LatencySplit {
-                        queue_ns,
-                        run_ns,
-                        latency_ns,
-                        worker,
-                        batched: 1,
-                    },
-                )
-            }
-            Err(e) => {
-                // ORDERING: Relaxed — statistics counter.
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                *self
-                    .errors_by_kind
-                    .lock()
-                    .unwrap()
-                    .entry(e.kind().to_string())
-                    .or_insert(0) += 1;
-                protocol::render_run_error(spec.id.as_deref(), e)
-            }
-        };
-        write_line(&out, &line);
-    }
-
-    /// Executes a claimed batch. A batch of one takes the plain
-    /// [`Core::execute`] path byte-for-byte; a real batch runs one
-    /// bit-parallel multi-source traversal through
-    /// [`registry::run_bfs_sliced`] and answers every query from its own
-    /// lane's slice — per-query `queue_ns` from its own admission stamp,
-    /// shared `run_ns`, and the batch size in the `batched` field.
-    fn execute_batch(
+    /// Executes one claimed batch on worker `worker`'s engine and answers
+    /// every job in it, stamping each one's queue/run latency
+    /// decomposition. A single job runs alone through
+    /// [`registry::run_checked`]; two or more run as one bit-parallel
+    /// multi-source traversal through [`registry::run_bfs_sliced`], and
+    /// each is answered from its own lane's slice — per-query `queue_ns`
+    /// from its own admission stamp, shared `run_ns`, and the batch size in
+    /// the `batched` field.
+    fn execute(
         &self,
         worker: usize,
         engine: &Engine,
         probes: &ProbeShards<NullProbe>,
-        mut jobs: Vec<Job>,
+        jobs: Vec<Job>,
     ) {
-        if jobs.len() == 1 {
-            return self.execute(worker, engine, probes, jobs.pop().unwrap());
-        }
         let batch = jobs.len();
         let dequeued_ns = self.clock.now_ns();
-        // The depth gauge samples at dequeue: the moment load is visible.
-        self.metrics.set_gauge(
-            M_QUEUE_DEPTH,
-            "Jobs waiting in the admission queue.",
-            &Labels::none(),
-            self.queue.depth() as f64,
-        );
-        let sources: Vec<VertexId> = jobs.iter().map(|j| j.spec.source).collect();
+        // A batch shares its head's execution config (`JobQueue::pop_batch`).
         let head = &jobs[0].spec;
         let cfg = RunConfig {
             policy: head.policy,
@@ -715,33 +565,27 @@ impl Core {
             } else {
                 MetricsLevel::Off
             },
-            sources,
+            source: head.source,
             lp_iters: head.lp_iters,
             bc_sources: head.bc_sources,
             ..RunConfig::new(engine, probes)
         };
-        let result = registry::run_bfs_sliced(&cfg, &self.graph);
+        let result = if batch == 1 {
+            registry::run_checked(&head.algo, &cfg, &self.graph).map(|run| vec![run])
+        } else {
+            let sources = jobs.iter().map(|j| j.spec.source).collect();
+            registry::run_bfs_sliced(&RunConfig { sources, ..cfg }, &self.graph)
+        };
         let done_ns = self.clock.now_ns();
         let run_ns = done_ns.saturating_sub(dequeued_ns);
         let ms = run_ns as f64 / 1e6;
         // One traversal ran, so the worker was busy for `run_ns` once —
         // not once per answered query.
-        let busy = &self.worker_busy_ns[worker];
-        // ORDERING: Relaxed — per-worker statistics accumulator; only
-        // this worker writes it, others read it for gauges.
-        let busy_ns = busy.fetch_add(run_ns, Ordering::Relaxed) + run_ns;
-        self.metrics.set_gauge(
-            M_WORKER_UTIL,
-            "Share of wall-clock each worker runner spent executing queries.",
-            &Labels::new([("worker", worker.to_string())]),
-            (busy_ns as f64 / done_ns.max(1) as f64).min(1.0),
-        );
+        // ORDERING: Relaxed — per-worker statistics accumulator; only this
+        // worker writes it, snapshots read it for reporting.
+        self.worker_busy_ns[worker].fetch_add(run_ns, Ordering::Relaxed);
         let outcome = if result.is_ok() { "ok" } else { "error" };
-        if result.is_ok() {
-            // ORDERING: Relaxed — statistics counters.
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.coalesced.fetch_add(batch as u64, Ordering::Relaxed);
-            self.max_batch.fetch_max(batch as u64, Ordering::Relaxed);
+        if batch > 1 && result.is_ok() {
             self.metrics.observe(
                 M_BATCH_SIZE,
                 "Queries per coalesced batched run.",
@@ -756,14 +600,34 @@ impl Core {
                 batch as u64,
             );
         }
-        if let Some(trace) = &self.trace {
-            let mut t = trace.lock().unwrap();
-            // One queue span AND one run span per query — the trace
-            // invariant consumers rely on survives batching. The run spans
-            // of one batch share the same interval on the worker lane;
-            // their `batched` arg says why they overlap.
-            for job in &jobs {
-                let algo = algo_label(&job.spec.algo);
+        // One slice per job, in claim order (`run_bfs_sliced` returns one
+        // run per configured source in input order).
+        for (i, job) in jobs.iter().enumerate() {
+            // All three figures come from the same two clock readings, so
+            // the decomposition is exact: queue_ns + run_ns == latency_ns.
+            let queue_ns = dequeued_ns.saturating_sub(job.admitted_ns);
+            let latency_ns = queue_ns + run_ns;
+            let algo = algo_label(&job.spec.algo);
+            self.count_query(&algo, outcome);
+            let labels = Labels::new([("algo", algo.as_str()), ("outcome", outcome)]);
+            let observe = |name, help, ns| self.metrics.observe(name, help, &labels, done_ns, ns);
+            observe(
+                M_QUEUE_NS,
+                "Admission-to-dequeue wait in nanoseconds.",
+                queue_ns,
+            );
+            observe(
+                M_RUN_NS,
+                "Dequeue-to-completion execution time in nanoseconds.",
+                run_ns,
+            );
+            observe(
+                M_LATENCY_NS,
+                "Admission-to-completion latency in nanoseconds.",
+                latency_ns,
+            );
+            if let Some(trace) = &self.trace {
+                let mut t = trace.lock().unwrap();
                 let wait = format!("queue {algo}");
                 t.async_begin(
                     wait.clone(),
@@ -777,78 +641,49 @@ impl Core {
                     ],
                 );
                 t.async_end(wait, "queue", TID_ADMISSION, dequeued_ns, job.seq);
-                let queue_ns = dequeued_ns.saturating_sub(job.admitted_ns);
                 let mut run_args = vec![
                     ("algo".to_string(), ArgValue::from(algo.as_str())),
                     ("outcome".to_string(), ArgValue::from(outcome)),
                     ("query".to_string(), ArgValue::from(job.seq)),
                     ("queue_ns".to_string(), ArgValue::from(queue_ns)),
-                    ("batched".to_string(), ArgValue::from(batch as u64)),
                 ];
+                // The run spans of one batch share the same interval on the
+                // worker lane; their `batched` arg says why they overlap.
+                let mut name = format!("run {algo}");
+                if batch > 1 {
+                    name.push_str(&format!(" ×{batch}"));
+                    run_args.push(("batched".to_string(), ArgValue::from(batch as u64)));
+                }
                 if let Some(id) = &job.spec.id {
+                    // The client's raw id scalar: lets a trace consumer join
+                    // spans back to response lines exactly.
                     run_args.push(("id".to_string(), ArgValue::from(id.as_str())));
                 }
-                t.duration(
-                    format!("run {algo} ×{batch}"),
-                    "run",
-                    TID_WORKER_BASE + worker as u32,
-                    dequeued_ns,
-                    run_ns,
-                    run_args,
-                );
+                let lane = TID_WORKER_BASE + worker as u32;
+                t.duration(name, "run", lane, dequeued_ns, run_ns, run_args);
             }
-        }
-        // One slice per job, in claim order (`run_bfs_sliced` returns one
-        // run per configured source in input order).
-        for (i, job) in jobs.iter().enumerate() {
-            let queue_ns = dequeued_ns.saturating_sub(job.admitted_ns);
-            let latency_ns = queue_ns + run_ns;
-            let algo = algo_label(&job.spec.algo);
-            self.count_query(&algo, outcome);
-            let labels = Labels::new([("algo", algo.as_str()), ("outcome", outcome)]);
-            self.metrics.observe(
-                M_QUEUE_NS,
-                "Admission-to-dequeue wait in nanoseconds.",
-                &labels,
-                done_ns,
-                queue_ns,
-            );
-            self.metrics.observe(
-                M_RUN_NS,
-                "Dequeue-to-completion execution time in nanoseconds.",
-                &labels,
-                done_ns,
-                run_ns,
-            );
             let line = match &result {
-                Ok(runs) => {
-                    // ORDERING: Relaxed — statistics counter.
-                    self.served.fetch_add(1, Ordering::Relaxed);
-                    self.latency.lock().unwrap().record(latency_ns);
-                    protocol::render_run_response(
-                        &job.spec,
-                        &self.cfg.name,
-                        engine.threads(),
-                        &runs[i],
-                        ms,
-                        LatencySplit {
-                            queue_ns,
-                            run_ns,
-                            latency_ns,
-                            worker,
-                            batched: batch,
-                        },
-                    )
-                }
+                Ok(runs) => protocol::render_run_response(
+                    &job.spec,
+                    &self.cfg.name,
+                    engine.threads(),
+                    &runs[i],
+                    ms,
+                    LatencySplit {
+                        queue_ns,
+                        run_ns,
+                        latency_ns,
+                        worker,
+                        batched: batch,
+                    },
+                ),
                 Err(e) => {
-                    // ORDERING: Relaxed — statistics counter.
-                    self.errors.fetch_add(1, Ordering::Relaxed);
-                    *self
-                        .errors_by_kind
-                        .lock()
-                        .unwrap()
-                        .entry(e.kind().to_string())
-                        .or_insert(0) += 1;
+                    self.metrics.inc_counter(
+                        M_ERRORS,
+                        "Run queries answered with a structured error, by kind.",
+                        &Labels::new([("kind", e.kind())]),
+                        1,
+                    );
                     protocol::render_run_error(job.spec.id.as_deref(), e)
                 }
             };
@@ -891,19 +726,11 @@ impl Server {
             cfg: cfg.clone(),
             queue: JobQueue::new(cfg.queue),
             clock: Clock::start(),
-            served: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            latency: Mutex::new(LogHistogram::new()),
             metrics: MetricsRegistry::new(cfg.window_buckets, cfg.window_bucket_ns),
-            errors_by_kind: Mutex::new(BTreeMap::new()),
             worker_busy_ns: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
             trace,
             seq: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            batches: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
         });
         let workers = (0..cfg.workers)
             .map(|w| {
@@ -919,7 +746,7 @@ impl Server {
                         while let Some(jobs) =
                             core.queue.pop_batch(MAX_LANES, |spec| coalescable(spec, n))
                         {
-                            core.execute_batch(w, &engine, &probes, jobs);
+                            core.execute(w, &engine, &probes, jobs);
                         }
                     })
                     .expect("spawn worker")
@@ -1333,18 +1160,26 @@ mod tests {
         assert_eq!(rest.len(), 2);
     }
 
+    /// Sums the samples of exposition series `name` whose label set holds
+    /// every `key="value"` pair in `with`.
+    fn prom_sum(body: &str, name: &str, with: &[(&str, &str)]) -> u64 {
+        body.lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.rsplit_once(' '))
+            .filter(|(series, _)| {
+                let (family, labels) = series.split_once('{').unwrap_or((series, ""));
+                family == name
+                    && with
+                        .iter()
+                        .all(|(k, v)| labels.contains(&format!("{k}=\"{v}\"")))
+            })
+            .map(|(_, value)| value.parse::<u64>().expect("integer sample"))
+            .sum()
+    }
+
     #[test]
-    fn queued_bfs_queries_coalesce_into_one_batched_run() {
-        let s = Server::new(
-            gen::rmat(7, 6, 3),
-            ServeConfig {
-                workers: 1,
-                threads: 1,
-                queue: 16,
-                name: "test".to_string(),
-                ..ServeConfig::default()
-            },
-        );
+    fn stats_is_a_view_of_the_exposition_after_mixed_traffic() {
+        let s = server(16);
         let sink = Sink::default();
         let out: Out = Arc::new(Mutex::new(Box::new(sink.clone())));
         // Occupy the single worker with a slow query so the bfs burst
@@ -1359,15 +1194,16 @@ mod tests {
                 &out,
             );
         }
+        s.dispatch("{\"algo\": \"cc\"}", &out);
+        s.dispatch("{\"algo\": \"nope\"}", &out);
+        s.dispatch("{\"algo\": \"bfs\", \"source\": 100000}", &out);
         let deadline = Instant::now() + Duration::from_secs(30);
-        while s.stats().served < 6 {
+        while sink.lines().len() < 9 {
             assert!(Instant::now() < deadline, "workers never drained");
             std::thread::sleep(Duration::from_millis(2));
         }
-        let stats = s.stats();
-        assert!(stats.batches >= 1, "no batch formed: {stats:?}");
-        assert!(stats.coalesced >= 2);
-        assert!(stats.max_batch >= 2);
+        s.core.queue.close();
+        s.dispatch("{\"algo\": \"cc\"}", &out);
         let lines = sink.lines();
         for i in 1..=5u64 {
             let resp = lines
@@ -1378,10 +1214,36 @@ mod tests {
             assert!(resp.get("batched").unwrap().u64().unwrap() >= 1);
             assert!(resp.get("summary").unwrap().get("reached").is_some());
         }
-        // The batch histogram and coalesced counter made it to Prometheus.
+
+        // Every stats figure equals its series in the exposition.
+        let stats = s.stats();
         let body = s.metrics_text();
-        assert!(body.contains(M_BATCH_SIZE));
-        assert!(body.contains(M_COALESCED));
+        let queries = |outcome| prom_sum(&body, M_QUERIES, &[("outcome", outcome)]);
+        assert_eq!((stats.served, stats.errors, stats.rejected), (7, 2, 1));
+        assert_eq!(stats.served, queries("ok"));
+        assert_eq!(stats.errors, queries("error"));
+        assert_eq!(stats.rejected, queries("rejected"));
+        assert_eq!(
+            stats.errors_by_kind,
+            vec![
+                ("source_out_of_range".to_string(), 1),
+                ("unknown_algo".to_string(), 1)
+            ]
+        );
+        for (kind, n) in &stats.errors_by_kind {
+            assert_eq!(*n, prom_sum(&body, M_ERRORS, &[("kind", kind)]), "{kind}");
+        }
+        assert!(stats.batches >= 1, "no batch formed: {stats:?}");
+        assert!(stats.coalesced >= 2);
+        assert!(stats.max_batch >= 2);
+        assert_eq!(stats.coalesced, prom_sum(&body, M_COALESCED, &[]));
+        let count_of = |family| format!("{family}_count");
+        assert_eq!(stats.batches, prom_sum(&body, &count_of(M_BATCH_SIZE), &[]));
+        assert_eq!(stats.latency.count, 7);
+        assert_eq!(
+            stats.latency.count,
+            prom_sum(&body, &count_of(M_LATENCY_NS), &[("outcome", "ok")])
+        );
     }
 
     #[test]

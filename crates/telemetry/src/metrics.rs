@@ -389,23 +389,6 @@ impl MetricsRegistry {
             .unwrap_or_default()
     }
 
-    /// The distinct values label `key` takes across every series of family
-    /// `name`, sorted.
-    pub fn label_values(&self, name: &str, key: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        if let Some(fam) = self.families.lock().unwrap().get(name) {
-            for labels in fam.series.keys() {
-                for (k, v) in labels.pairs() {
-                    if k == key && !out.contains(v) {
-                        out.push(v.clone());
-                    }
-                }
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Renders every family in the Prometheus text exposition format.
     ///
     /// Counters render as `counter`, gauges as `gauge`, and windowed
@@ -557,7 +540,6 @@ mod tests {
         assert_eq!(r.counter_value("q_total", &Labels::none()), None);
         assert_eq!(r.counter_total("absent"), 0);
         assert_eq!(r.counter_series("q_total").len(), 2);
-        assert_eq!(r.label_values("q_total", "outcome"), vec!["error", "ok"]);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //!
 //! These are the cross-crate halves of the story: `pp-engine` produces the
 //! instrumented `RunReport`, `pp-telemetry` serializes the Chrome trace,
-//! and `pp-bench`'s JSON reader (the `ppgraph report` parser) reads the
+//! and `pp-serve`'s JSON reader (the `ppgraph report` parser) reads the
 //! trace back. Unit tests inside each crate cover the pieces; this suite
 //! covers the pipeline.
 
-use pp_bench::json::{self, Value};
 use pp_engine::algo::bfs::BfsProgram;
 use pp_engine::report::WORKER_TID_BASE;
 use pp_engine::{DirectionPolicy, Engine, ProbeShards, Runner};
 use pp_graph::datasets::{Dataset, Scale};
+use pp_serve::json::{self, Value};
 use pp_telemetry::{MetricsLevel, NullProbe};
 
 fn traced_bfs(threads: usize) -> pp_engine::Run<(Vec<u32>, Vec<u32>)> {
