@@ -554,13 +554,6 @@ fn cmd_run(args: &[String]) {
     if g.num_vertices() == 0 {
         die("run: the input graph has no vertices");
     }
-    if (o.source as usize) >= g.num_vertices() {
-        die(&format!(
-            "--source {} out of range (n = {})",
-            o.source,
-            g.num_vertices()
-        ));
-    }
 
     let policy_name = o.direction.as_deref().unwrap_or("adaptive");
     let mode_name = o.mode.as_deref().unwrap_or("atomic");

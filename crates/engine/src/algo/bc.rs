@@ -51,23 +51,8 @@ use pp_telemetry::{addr_of_index, Probe};
 use crate::algo::msbfs::MAX_LANES;
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{Program, RoundCtx};
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine betweenness computation.
-#[derive(Clone, Debug)]
-pub struct ParBcResult {
-    /// Centrality scores (undirected convention: each unordered pair
-    /// counted once).
-    pub scores: Vec<f64>,
-    /// Per-round statistics: per wave, one forward phase (rounds = union
-    /// levels) followed, per lane, by one backward phase per level,
-    /// deepest first.
-    pub report: RunReport,
-}
 
 /// Which sweep the kernels currently implement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -396,6 +381,10 @@ impl<P: Probe> EdgeKernel<P> for BcProgram {
 }
 
 impl<P: ShardProbe> Program<P> for BcProgram {
+    /// Centrality scores (undirected convention: each unordered pair
+    /// counted once). The run's phases are, per wave, one forward phase
+    /// (rounds = union levels) followed, per lane, by one backward phase
+    /// per level, deepest first.
     type Output = Vec<f64>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -494,27 +483,12 @@ impl<P: ShardProbe> Program<P> for BcProgram {
     }
 }
 
-/// Betweenness centrality under the given direction policy.
-pub fn betweenness<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    opts: &BcOptions,
-    probes: &ProbeShards<P>,
-) -> ParBcResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, BcProgram::new(g, opts));
-    ParBcResult {
-        scores: run.output,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioned::ExecutionMode;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::bc::betweenness_seq;
     use pp_core::Direction;
     use pp_graph::gen;
@@ -543,9 +517,11 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = betweenness(&engine, &g, policy, &BcOptions::default(), &probes);
+                    let r = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, BcProgram::new(&g, &BcOptions::default()));
                     assert_close(
-                        &r.scores,
+                        &r.output,
                         &reference,
                         1e-6,
                         &format!("seed {seed} x{threads} {policy:?}"),
@@ -562,20 +538,18 @@ mod tests {
         // Path 0-1-2-3-4: bc = [0, 3, 4, 3, 0].
         let path = gen::path(5);
         for policy in policies() {
-            let r = betweenness(&engine, &path, policy, &BcOptions::default(), &probes);
-            assert_close(&r.scores, &[0.0, 3.0, 4.0, 3.0, 0.0], 1e-9, "path");
+            let r = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&path, BcProgram::new(&path, &BcOptions::default()));
+            assert_close(&r.output, &[0.0, 3.0, 4.0, 3.0, 0.0], 1e-9, "path");
         }
         // Star K_{1,5}: the center lies on every leaf pair: C(5,2) = 10.
         let star = gen::star(6);
-        let r = betweenness(
-            &engine,
-            &star,
-            DirectionPolicy::adaptive(),
-            &BcOptions::default(),
-            &probes,
-        );
-        assert!((r.scores[0] - 10.0).abs() < 1e-9);
-        for &leaf in &r.scores[1..] {
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&star, BcProgram::new(&star, &BcOptions::default()));
+        assert!((r.output[0] - 10.0).abs() < 1e-9);
+        for &leaf in &r.output[1..] {
             assert!(leaf.abs() < 1e-12);
         }
     }
@@ -590,8 +564,10 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = betweenness(&engine, &g, policy, &BcOptions::default(), &probes);
-            assert_close(&r.scores, &reference, 1e-9, "diamond");
+            let r = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, BcProgram::new(&g, &BcOptions::default()));
+            assert_close(&r.output, &reference, 1e-9, "diamond");
         }
         assert!((reference[1] - 0.5).abs() < 1e-9);
     }
@@ -606,8 +582,10 @@ mod tests {
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = betweenness(&engine, &g, policy, &opts, &probes);
-            assert_close(&r.scores, &reference, 1e-6, "sampled");
+            let r = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, BcProgram::new(&g, &opts));
+            assert_close(&r.output, &reference, 1e-6, "sampled");
         }
     }
 
@@ -620,16 +598,20 @@ mod tests {
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = betweenness(&engine, &g, policy, &BcOptions::default(), &probes);
-            assert_close(&r.scores, &reference, 1e-6, "two waves");
+            let r = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, BcProgram::new(&g, &BcOptions::default()));
+            assert_close(&r.output, &reference, 1e-6, "two waves");
         }
         // An off-width cap exercises a short tail wave.
         let opts = BcOptions {
             max_sources: Some(MAX_LANES + 3),
         };
         let reference = betweenness_seq(&g, Some(MAX_LANES + 3));
-        let r = betweenness(&engine, &g, DirectionPolicy::adaptive(), &opts, &probes);
-        assert_close(&r.scores, &reference, 1e-6, "tail wave");
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, BcProgram::new(&g, &opts));
+        assert_close(&r.output, &reference, 1e-6, "tail wave");
     }
 
     #[test]
@@ -641,14 +623,10 @@ mod tests {
         let run = |threads: usize| {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-            betweenness(
-                &engine,
-                &g,
-                DirectionPolicy::Fixed(Direction::Pull),
-                &opts,
-                &probes,
-            )
-            .scores
+            Runner::new(&engine, &probes)
+                .policy(DirectionPolicy::Fixed(Direction::Pull))
+                .run(&g, BcProgram::new(&g, &opts))
+                .output
         };
         let one = run(1);
         assert_eq!(one, run(2), "pull BC is bitwise thread-invariant");
@@ -663,15 +641,17 @@ mod tests {
         let g = gen::path(6);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = betweenness(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &BcOptions {
-                max_sources: Some(1),
-            },
-            &probes,
-        );
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(
+                &g,
+                BcProgram::new(
+                    &g,
+                    &BcOptions {
+                        max_sources: Some(1),
+                    },
+                ),
+            );
         // Source 0 on a 6-path: the forward phase consumes the six level
         // frontiers {0}..{5}; the backward walk then runs one single-round
         // phase per target level 4, 3, 2, 1, 0.
@@ -689,13 +669,9 @@ mod tests {
         let g = gen::path(6);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = betweenness(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &BcOptions::default(),
-            &probes,
-        );
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, BcProgram::new(&g, &BcOptions::default()));
         let forward: Vec<u32> = r.report.phase_rounds(0).map(|s| s.lanes_active).collect();
         assert_eq!(forward[0], 6, "all lanes seed in round 0");
         assert!(
@@ -717,13 +693,9 @@ mod tests {
         };
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        betweenness(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &opts,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, BcProgram::new(&g, &opts));
         let push = probes.merged();
         assert!(
             push.atomics > 0,
@@ -731,13 +703,9 @@ mod tests {
         );
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        betweenness(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &opts,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, BcProgram::new(&g, &opts));
         let pull = probes.merged();
         assert_eq!(pull.atomics, 0, "pull BC is synchronization-free");
         assert_eq!(pull.locks, 0);
@@ -759,26 +727,24 @@ mod tests {
         let engine = Engine::new(1);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         let empty = pp_graph::GraphBuilder::undirected(0).build();
-        let r = betweenness(
-            &engine,
-            &empty,
-            DirectionPolicy::adaptive(),
-            &BcOptions::default(),
-            &probes,
-        );
-        assert!(r.scores.is_empty());
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&empty, BcProgram::new(&empty, &BcOptions::default()));
+        assert!(r.output.is_empty());
         assert_eq!(r.report.phases, 0);
         let g = gen::path(4);
-        let r = betweenness(
-            &engine,
-            &g,
-            DirectionPolicy::adaptive(),
-            &BcOptions {
-                max_sources: Some(0),
-            },
-            &probes,
-        );
-        assert_eq!(r.scores, vec![0.0; 4]);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(
+                &g,
+                BcProgram::new(
+                    &g,
+                    &BcOptions {
+                        max_sources: Some(0),
+                    },
+                ),
+            );
+        assert_eq!(r.output, vec![0.0; 4]);
         assert_eq!(r.report.phases, 0);
     }
 }

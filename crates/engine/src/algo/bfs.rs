@@ -2,8 +2,9 @@
 //!
 //! Push rounds are Algorithm 3's top-down step (CAS parent claims); pull
 //! rounds are bottom-up (own-cell writes, scan saturates at the first
-//! frontier parent); the [`DirectionPolicy`] decides per round, making
-//! [`DirectionPolicy::adaptive`] the engine's direction-optimizing BFS.
+//! frontier parent); the [`crate::DirectionPolicy`] decides per round,
+//! making [`crate::DirectionPolicy::adaptive`] the engine's
+//! direction-optimizing BFS.
 //! The round loop itself lives in [`crate::runner::Runner`] — this module
 //! supplies only state, kernels, and the seed frontier.
 
@@ -15,30 +16,8 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{Program, RoundCtx};
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine BFS.
-#[derive(Clone, Debug)]
-pub struct ParBfsResult {
-    /// BFS-tree parent per vertex ([`NO_PARENT`] if unreached; the root is
-    /// its own parent).
-    pub parent: Vec<VertexId>,
-    /// Distance from the root ([`UNVISITED`] if unreached).
-    pub level: Vec<u32>,
-    /// Per-round direction/frontier/edge statistics.
-    pub report: RunReport,
-}
-
-impl ParBfsResult {
-    /// Number of reached vertices (including the root).
-    pub fn reached(&self) -> usize {
-        self.level.iter().filter(|&&l| l != UNVISITED).count()
-    }
-}
 
 /// BFS as a vertex program: parent claims and level stamps.
 pub struct BfsProgram {
@@ -106,6 +85,9 @@ impl<P: Probe> EdgeKernel<P> for BfsProgram {
 }
 
 impl<P: ShardProbe> Program<P> for BfsProgram {
+    /// `(parent, level)`: the BFS-tree parent per vertex ([`NO_PARENT`] if
+    /// unreached; the root is its own parent) and the distance from the
+    /// root ([`UNVISITED`] if unreached).
     type Output = (Vec<VertexId>, Vec<u32>);
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -133,28 +115,11 @@ impl<P: ShardProbe> Program<P> for BfsProgram {
     }
 }
 
-/// BFS from `root` under the given direction policy.
-pub fn bfs<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    root: VertexId,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParBfsResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, BfsProgram::new(g, root));
-    let (parent, level) = run.output;
-    ParBfsResult {
-        parent,
-        level,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::Direction;
     use pp_graph::{gen, stats};
     use pp_telemetry::{CountingProbe, NullProbe};
@@ -162,7 +127,11 @@ mod tests {
     fn engine_levels(g: &CsrGraph, policy: DirectionPolicy, threads: usize) -> Vec<u32> {
         let engine = Engine::new(threads);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        bfs(&engine, g, 0, policy, &probes).level
+        Runner::new(&engine, &probes)
+            .policy(policy)
+            .run(g, BfsProgram::new(g, 0))
+            .output
+            .1
     }
 
     #[test]
@@ -186,7 +155,9 @@ mod tests {
         let g = gen::complete(128);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = bfs(&engine, &g, 0, DirectionPolicy::adaptive(), &probes);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, BfsProgram::new(&g, 0));
         assert!(r.report.switched());
     }
 
@@ -195,16 +166,19 @@ mod tests {
         let g = gen::rmat(7, 6, 13);
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = bfs(&engine, &g, 0, DirectionPolicy::adaptive(), &probes);
+        let (parent, level) = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, BfsProgram::new(&g, 0))
+            .output;
         for v in g.vertices() {
             if v == 0 {
-                assert_eq!(r.parent[0], 0);
-            } else if r.level[v as usize] != UNVISITED {
-                let p = r.parent[v as usize];
+                assert_eq!(parent[0], 0);
+            } else if level[v as usize] != UNVISITED {
+                let p = parent[v as usize];
                 assert!(g.has_edge(p, v), "parent edge {p}->{v} must exist");
-                assert_eq!(r.level[p as usize] + 1, r.level[v as usize]);
+                assert_eq!(level[p as usize] + 1, level[v as usize]);
             } else {
-                assert_eq!(r.parent[v as usize], NO_PARENT);
+                assert_eq!(parent[v as usize], NO_PARENT);
             }
         }
     }
@@ -214,13 +188,9 @@ mod tests {
         let g = gen::path(30);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = bfs(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, BfsProgram::new(&g, 0));
         assert_eq!(r.report.num_rounds(), 30, "path: one frontier per level");
         assert_eq!(r.report.phases, 1, "BFS is single-phase");
         assert!(r.report.rounds.iter().all(|s| s.frontier == 1));
@@ -232,25 +202,17 @@ mod tests {
         let engine = Engine::new(2);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        bfs(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, BfsProgram::new(&g, 0));
         let push = probes.merged();
         assert!(push.atomics > 0, "push BFS must CAS");
         assert_eq!(push.locks, 0);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        bfs(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, BfsProgram::new(&g, 0));
         let pull = probes.merged();
         assert_eq!(pull.atomics, 0, "pull BFS is synchronization-free");
         assert!(pull.reads > 0);

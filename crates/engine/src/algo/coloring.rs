@@ -24,33 +24,8 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::Program;
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine coloring run.
-#[derive(Clone, Debug)]
-pub struct ParColoringResult {
-    /// Per-vertex colors (dense from 0, ≤ max-degree + 1 of them).
-    pub colors: Vec<u32>,
-    /// Per-round direction/frontier/edge statistics (round = one
-    /// speculative color + conflict-detect iteration).
-    pub report: RunReport,
-}
-
-impl ParColoringResult {
-    /// Number of distinct colors used.
-    pub fn num_colors(&self) -> usize {
-        self.colors
-            .iter()
-            .filter(|&&c| c != NO_COLOR)
-            .map(|&c| c as usize + 1)
-            .max()
-            .unwrap_or(0)
-    }
-}
 
 /// Speculative greedy coloring as a vertex program.
 pub struct ColoringProgram {
@@ -127,6 +102,7 @@ impl<P: Probe> EdgeKernel<P> for ColoringProgram {
 }
 
 impl<P: ShardProbe> Program<P> for ColoringProgram {
+    /// Per-vertex colors, each below max-degree + 1.
     type Output = Vec<u32>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -156,25 +132,11 @@ impl<P: ShardProbe> Program<P> for ColoringProgram {
     }
 }
 
-/// Graph coloring under the given direction policy.
-pub fn color<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParColoringResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, ColoringProgram::new(g));
-    ParColoringResult {
-        colors: run.output,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::coloring::is_proper_coloring;
     use pp_core::Direction;
     use pp_graph::gen;
@@ -204,16 +166,19 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = color(&engine, &g, policy, &probes);
+                    let colors = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, ColoringProgram::new(&g))
+                        .output;
                     assert!(
-                        is_proper_coloring(&g, &r.colors),
+                        is_proper_coloring(&g, &colors),
                         "x{threads} {policy:?} n={}",
                         g.num_vertices()
                     );
+                    let max = colors.iter().copied().max().unwrap_or(0);
                     assert!(
-                        r.num_colors() <= g.max_degree() + 1,
-                        "greedy bound violated: {} colors, Δ = {}",
-                        r.num_colors(),
+                        max as usize <= g.max_degree(),
+                        "greedy bound violated: color {max}, Δ = {}",
                         g.max_degree()
                     );
                 }
@@ -227,8 +192,12 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = color(&engine, &g, policy, &probes);
-            assert_eq!(r.num_colors(), 9, "{policy:?}");
+            let mut colors = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, ColoringProgram::new(&g))
+                .output;
+            colors.sort_unstable();
+            assert_eq!(colors, (0..9).collect::<Vec<u32>>(), "{policy:?}");
         }
     }
 
@@ -239,13 +208,10 @@ mod tests {
         let g = gen::rmat(7, 5, 9);
         let engine = Engine::new(1);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = color(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
-        assert!(is_proper_coloring(&g, &r.colors));
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, ColoringProgram::new(&g));
+        assert!(is_proper_coloring(&g, &r.output));
         assert_eq!(r.report.num_rounds(), 1);
     }
 
@@ -254,8 +220,10 @@ mod tests {
         let g = gen::rmat(8, 6, 7);
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = color(&engine, &g, DirectionPolicy::adaptive(), &probes);
-        assert!(is_proper_coloring(&g, &r.colors));
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, ColoringProgram::new(&g));
+        assert!(is_proper_coloring(&g, &r.output));
         assert!(
             r.report
                 .rounds
@@ -273,25 +241,21 @@ mod tests {
         let g = gen::rmat(7, 5, 7);
         let engine = Engine::new(4);
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        let push_run = color(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        let push_colors = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, ColoringProgram::new(&g))
+            .output;
         let push = probes.merged();
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        let pull_run = color(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        let pull_colors = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, ColoringProgram::new(&g))
+            .output;
         let pull = probes.merged();
 
-        assert!(is_proper_coloring(&g, &push_run.colors));
-        assert!(is_proper_coloring(&g, &pull_run.colors));
+        assert!(is_proper_coloring(&g, &push_colors));
+        assert!(is_proper_coloring(&g, &pull_colors));
         assert_eq!(pull.atomics, 0, "pull conflict detection is sync-free");
         // Push only claims flags when conflicts exist; with one round there
         // are none, so only assert the pull side's cleanliness plus push's

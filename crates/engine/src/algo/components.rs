@@ -16,32 +16,9 @@ use pp_graph::{CsrGraph, VertexId, Weight};
 use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
-use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
-use crate::probes::{ProbeShards, ShardProbe};
+use crate::ops::EdgeKernel;
+use crate::probes::ShardProbe;
 use crate::program::Program;
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine components run.
-#[derive(Clone, Debug)]
-pub struct ParCcResult {
-    /// Per-vertex component label = minimum vertex id in the component.
-    pub labels: Vec<VertexId>,
-    /// Per-round direction/frontier/edge statistics.
-    pub report: RunReport,
-}
-
-impl ParCcResult {
-    /// Number of connected components.
-    pub fn num_components(&self) -> usize {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|&(v, &l)| v as VertexId == l)
-            .count()
-    }
-}
 
 /// Label-min connected components as a vertex program.
 pub struct CcProgram {
@@ -103,6 +80,7 @@ impl<P: Probe> EdgeKernel<P> for CcProgram {
 }
 
 impl<P: ShardProbe> Program<P> for CcProgram {
+    /// Per-vertex component label: the minimum vertex id in the component.
     type Output = Vec<VertexId>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -125,25 +103,13 @@ impl<P: ShardProbe> Program<P> for CcProgram {
     }
 }
 
-/// Connected components under the given direction policy.
-pub fn connected_components<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParCcResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, CcProgram::new(g));
-    ParCcResult {
-        labels: run.output,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Engine;
+    use crate::policy::DirectionPolicy;
+    use crate::probes::ProbeShards;
+    use crate::runner::Runner;
     use pp_core::components::connected_components as cc_oracle;
     use pp_core::Direction;
     use pp_graph::{gen, GraphBuilder};
@@ -168,8 +134,11 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = connected_components(&engine, &g, policy, &probes);
-                    assert_eq!(r.labels, expected, "{name} x{threads} {policy:?}");
+                    let labels = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, CcProgram::new(&g))
+                        .output;
+                    assert_eq!(labels, expected, "{name} x{threads} {policy:?}");
                 }
             }
         }
@@ -180,9 +149,11 @@ mod tests {
         let g = gen::cycle(12);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = connected_components(&engine, &g, DirectionPolicy::adaptive(), &probes);
-        assert!(r.labels.iter().all(|&l| l == 0));
-        assert_eq!(r.num_components(), 1);
+        let labels = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, CcProgram::new(&g))
+            .output;
+        assert_eq!(labels, vec![0; 12], "one component, labeled by vertex 0");
     }
 
     #[test]
@@ -190,21 +161,15 @@ mod tests {
         let g = gen::rmat(7, 4, 2);
         let engine = Engine::new(2);
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        connected_components(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, CcProgram::new(&g));
         assert!(probes.merged().atomics > 0);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        connected_components(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, CcProgram::new(&g));
         assert_eq!(probes.merged().atomics, 0);
         assert!(probes.merged().reads > 0);
     }
@@ -214,8 +179,10 @@ mod tests {
         let g = GraphBuilder::undirected(0).build();
         let engine = Engine::new(1);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = connected_components(&engine, &g, DirectionPolicy::adaptive(), &probes);
-        assert_eq!(r.num_components(), 0);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, CcProgram::new(&g));
+        assert!(r.output.is_empty());
         assert_eq!(r.report.num_rounds(), 0);
     }
 }

@@ -18,37 +18,11 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{frontier_where, Program, RoundCtx};
-use crate::report::RunReport;
-use crate::runner::Runner;
 
 /// A live (not yet peeled) vertex.
 const LIVE: u32 = u32::MAX;
-
-/// Result of an engine k-core decomposition.
-#[derive(Clone, Debug)]
-pub struct ParKCoreResult {
-    /// Per-vertex coreness (core number).
-    pub coreness: Vec<u32>,
-    /// The degeneracy of the graph: the maximum coreness.
-    pub degeneracy: u32,
-    /// Per-round (peel-wave) direction/frontier/edge statistics.
-    pub report: RunReport,
-}
-
-impl ParKCoreResult {
-    /// Vertices belonging to the `k`-core (coreness ≥ k).
-    pub fn core_members(&self, k: u32) -> Vec<VertexId> {
-        self.coreness
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c >= k)
-            .map(|(v, _)| v as VertexId)
-            .collect()
-    }
-}
 
 /// Peeling as a vertex program: one phase per coreness level.
 pub struct KCoreProgram {
@@ -133,6 +107,8 @@ impl<P: Probe> EdgeKernel<P> for KCoreProgram {
 }
 
 impl<P: ShardProbe> Program<P> for KCoreProgram {
+    /// Per-vertex coreness (core number); its maximum is the graph's
+    /// degeneracy.
     type Output = Vec<u32>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -178,28 +154,11 @@ impl<P: ShardProbe> Program<P> for KCoreProgram {
     }
 }
 
-/// k-core decomposition under the given direction policy.
-pub fn kcore<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParKCoreResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, KCoreProgram::new(g));
-    let coreness = run.output;
-    let degeneracy = coreness.iter().copied().max().unwrap_or(0);
-    ParKCoreResult {
-        coreness,
-        degeneracy,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::kcore::coreness_seq;
     use pp_core::Direction;
     use pp_graph::{gen, GraphBuilder};
@@ -220,8 +179,11 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = kcore(&engine, &g, policy, &probes);
-                    assert_eq!(r.coreness, expected, "seed {seed} x{threads} {policy:?}");
+                    let coreness = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, KCoreProgram::new(&g))
+                        .output;
+                    assert_eq!(coreness, expected, "seed {seed} x{threads} {policy:?}");
                 }
             }
         }
@@ -245,10 +207,11 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = kcore(&engine, &g, policy, &probes);
-            assert_eq!(r.coreness, vec![3, 3, 3, 3, 1, 1], "{policy:?}");
-            assert_eq!(r.core_members(3), vec![0, 1, 2, 3]);
-            assert_eq!(r.degeneracy, 3);
+            let coreness = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, KCoreProgram::new(&g))
+                .output;
+            assert_eq!(coreness, vec![3, 3, 3, 3, 1, 1], "{policy:?}");
         }
     }
 
@@ -260,13 +223,10 @@ mod tests {
         let g = gen::path(20);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = kcore(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
-        assert_eq!(r.degeneracy, 1);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, KCoreProgram::new(&g));
+        assert_eq!(r.output, vec![1; 20], "a path is 1-degenerate");
         assert_eq!(r.report.phases, 1, "one occupied peel level");
         assert_eq!(r.report.num_rounds(), 10, "20-path peels 2 ends per wave");
     }
@@ -276,24 +236,18 @@ mod tests {
         let g = gen::rmat(8, 5, 11);
         let engine = Engine::new(2);
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        kcore(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, KCoreProgram::new(&g));
         let push = probes.merged();
         assert!(push.atomics > 0);
         // Push's total decrements are bounded by the arc count.
         assert!(push.atomics <= g.num_arcs() as u64);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        kcore(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, KCoreProgram::new(&g));
         let pull = probes.merged();
         assert_eq!(pull.atomics, 0);
         assert!(pull.reads > 0);
@@ -304,13 +258,16 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         let empty = GraphBuilder::undirected(0).build();
-        assert_eq!(
-            kcore(&engine, &empty, DirectionPolicy::adaptive(), &probes).degeneracy,
-            0
-        );
+        assert!(Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&empty, KCoreProgram::new(&empty))
+            .output
+            .is_empty());
         let edgeless = GraphBuilder::undirected(5).build();
-        let r = kcore(&engine, &edgeless, DirectionPolicy::adaptive(), &probes);
-        assert_eq!(r.coreness, vec![0; 5]);
-        assert_eq!(r.degeneracy, 0);
+        let coreness = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&edgeless, KCoreProgram::new(&edgeless))
+            .output;
+        assert_eq!(coreness, vec![0; 5]);
     }
 }

@@ -21,35 +21,8 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::Program;
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine label-propagation run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParLabelPropResult {
-    /// Final per-vertex community label.
-    pub labels: Vec<u32>,
-    /// Iterations executed (≤ the caller's cap).
-    pub iterations: usize,
-    /// Whether a fixpoint was reached before the cap (synchronous LP can
-    /// oscillate on bipartite-ish structures, so the cap is load-bearing).
-    pub converged: bool,
-    /// Per-round direction/frontier/edge statistics.
-    pub report: RunReport,
-}
-
-impl ParLabelPropResult {
-    /// Number of distinct communities.
-    pub fn num_communities(&self) -> usize {
-        let mut ls = self.labels.clone();
-        ls.sort_unstable();
-        ls.dedup();
-        ls.len()
-    }
-}
 
 /// Per-vertex vote boxes with two disciplines over one storage: push
 /// deposits under the sharded lock table, pull deposits single-owner.
@@ -148,6 +121,10 @@ impl<P: Probe> EdgeKernel<P> for LabelPropProgram {
 }
 
 impl<P: ShardProbe> Program<P> for LabelPropProgram {
+    /// `(labels, iterations, converged)`: the final per-vertex community
+    /// label, the iterations executed (≤ the cap), and whether a fixpoint
+    /// was reached before the cap (synchronous LP can oscillate on
+    /// bipartite-ish structures, so the cap is load-bearing).
     type Output = (Vec<u32>, usize, bool);
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -200,30 +177,11 @@ impl<P: ShardProbe> Program<P> for LabelPropProgram {
     }
 }
 
-/// Label propagation under the given direction policy, capped at
-/// `max_iters` iterations.
-pub fn label_propagation<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    max_iters: usize,
-    probes: &ProbeShards<P>,
-) -> ParLabelPropResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, LabelPropProgram::new(g, max_iters));
-    let (labels, iterations, converged) = run.output;
-    ParLabelPropResult {
-        labels,
-        iterations,
-        converged,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::labelprop::label_propagation as lp_oracle;
     use pp_core::Direction;
     use pp_graph::{gen, GraphBuilder};
@@ -253,13 +211,13 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = label_propagation(&engine, &g, policy, 30, &probes);
-                    assert_eq!(
-                        r.labels, expected.labels,
-                        "seed {seed} x{threads} {policy:?}"
-                    );
-                    assert_eq!(r.iterations, expected.iterations, "seed {seed} {policy:?}");
-                    assert_eq!(r.converged, expected.converged, "seed {seed} {policy:?}");
+                    let (labels, iterations, converged) = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, LabelPropProgram::new(&g, 30))
+                        .output;
+                    assert_eq!(labels, expected.labels, "seed {seed} x{threads} {policy:?}");
+                    assert_eq!(iterations, expected.iterations, "seed {seed} {policy:?}");
+                    assert_eq!(converged, expected.converged, "seed {seed} {policy:?}");
                 }
             }
         }
@@ -273,9 +231,12 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = label_propagation(&engine, &g, policy, 10, &probes);
-            assert_eq!(r.iterations, 10, "{policy:?}");
-            assert!(!r.converged, "{policy:?}");
+            let r = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, LabelPropProgram::new(&g, 10));
+            let (_, iterations, converged) = r.output;
+            assert_eq!(iterations, 10, "{policy:?}");
+            assert!(!converged, "{policy:?}");
             assert_eq!(r.report.num_rounds(), 10, "one round per iteration");
         }
     }
@@ -286,9 +247,12 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = label_propagation(&engine, &g, policy, 20, &probes);
-            assert_eq!(r.labels[2], 2, "{policy:?}");
-            assert_eq!(r.labels[3], 3, "{policy:?}");
+            let (labels, _, _) = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, LabelPropProgram::new(&g, 20))
+                .output;
+            assert_eq!(labels[2], 2, "{policy:?}");
+            assert_eq!(labels[3], 3, "{policy:?}");
         }
     }
 
@@ -297,23 +261,15 @@ mod tests {
         let g = gen::community(2, 20, 60, 5, 1);
         let engine = Engine::new(2);
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        label_propagation(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            5,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, LabelPropProgram::new(&g, 5));
         assert!(probes.merged().locks > 0);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        label_propagation(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            5,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, LabelPropProgram::new(&g, 5));
         assert_eq!(probes.merged().locks, 0);
         assert!(probes.merged().reads > 0);
     }
@@ -323,13 +279,19 @@ mod tests {
         let engine = Engine::new(1);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         let g = GraphBuilder::undirected(0).build();
-        let r = label_propagation(&engine, &g, DirectionPolicy::adaptive(), 5, &probes);
-        assert!(r.labels.is_empty());
-        assert!(r.converged);
+        let (labels, _, converged) = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, LabelPropProgram::new(&g, 5))
+            .output;
+        assert!(labels.is_empty());
+        assert!(converged);
 
         let g = gen::path(5);
-        let r = label_propagation(&engine, &g, DirectionPolicy::adaptive(), 0, &probes);
-        assert_eq!(r.labels, vec![0, 1, 2, 3, 4]);
-        assert_eq!(r.iterations, 0);
+        let (labels, iterations, _) = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, LabelPropProgram::new(&g, 0))
+            .output;
+        assert_eq!(labels, vec![0, 1, 2, 3, 4]);
+        assert_eq!(iterations, 0);
     }
 }

@@ -33,11 +33,9 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{Program, RoundCtx};
-use crate::report::{RunReport, SourceStat};
-use crate::runner::Runner;
+use crate::report::SourceStat;
 
 /// Lane width of a batch: sources per run, one bit per lane in the mask
 /// words.
@@ -208,6 +206,10 @@ impl<P: Probe> EdgeKernel<P> for MsBfsProgram {
 }
 
 impl<P: ShardProbe> Program<P> for MsBfsProgram {
+    /// One level vector per lane, in [`SourceBatch::sources`] order:
+    /// `level[l][v]` is the distance from `sources()[l]` to `v`
+    /// ([`UNVISITED`] if unreached), bit-equal to the single-source BFS
+    /// level vector.
     type Output = Vec<Vec<u32>>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -304,51 +306,13 @@ impl<P: ShardProbe> Program<P> for MsBfsProgram {
     }
 }
 
-/// Result of a batched MS-BFS run.
-#[derive(Clone, Debug)]
-pub struct MsBfsResult {
-    /// The deduplicated sources, lane-ordered.
-    pub sources: Vec<VertexId>,
-    /// `level[l][v]`: distance from `sources[l]` to `v` ([`UNVISITED`] if
-    /// unreached) — bit-equal to the single-source BFS level vector.
-    pub level: Vec<Vec<u32>>,
-    /// Per-round direction/frontier/lane statistics (one run for the whole
-    /// batch; `report.sources` carries the per-lane axis).
-    pub report: RunReport,
-}
-
-impl MsBfsResult {
-    /// Vertices lane `l` reached (including its source).
-    pub fn reached(&self, l: usize) -> usize {
-        self.level[l].iter().filter(|&&d| d != UNVISITED).count()
-    }
-}
-
-/// MS-BFS over `sources` (deduplicated, ≤ [`MAX_LANES`] distinct) under the
-/// given direction policy.
-pub fn ms_bfs<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    sources: &[VertexId],
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> MsBfsResult {
-    let batch = SourceBatch::new(g, sources);
-    let sources = batch.sources().to_vec();
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, MsBfsProgram::new(g, batch));
-    MsBfsResult {
-        sources,
-        level: run.output,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::bfs::BfsProgram;
     use crate::partitioned::ExecutionMode;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::Direction;
     use pp_graph::{gen, stats};
     use pp_telemetry::{CountingProbe, NullProbe};
@@ -405,7 +369,9 @@ mod tests {
         let sources: Vec<VertexId> = vec![0, 17, 99];
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = ms_bfs(&engine, &g, &sources, DirectionPolicy::adaptive(), &probes);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, MsBfsProgram::new(&g, SourceBatch::new(&g, &sources)));
         assert!(r.report.rounds.iter().all(|s| s.lanes_active >= 1));
         assert!(
             r.report.rounds[0].lanes_active == 3,
@@ -415,14 +381,17 @@ mod tests {
         for (l, stat) in r.report.sources.iter().enumerate() {
             assert_eq!(stat.source, sources[l]);
             assert!(stat.rounds_active >= 1);
-            let max_level = r.level[l]
+            let max_level = r.output[l]
                 .iter()
                 .filter(|&&d| d != UNVISITED)
                 .max()
                 .copied()
                 .unwrap();
             assert_eq!(stat.depth, max_level, "lane {l} depth is its max level");
-            assert!(r.reached(l) >= 1);
+            assert_eq!(
+                r.output[l][sources[l] as usize], 0,
+                "lane {l} reaches its source"
+            );
         }
     }
 
@@ -447,13 +416,9 @@ mod tests {
         let g = gen::rmat(8, 5, 7);
         let engine = Engine::new(2);
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        ms_bfs(
-            &engine,
-            &g,
-            &[0, 9, 33],
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, MsBfsProgram::new(&g, SourceBatch::new(&g, &[0, 9, 33])));
         assert_eq!(probes.merged().atomics, 0, "pull MS-BFS issues no RMW");
     }
 
@@ -465,13 +430,17 @@ mod tests {
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         let policy = DirectionPolicy::Fixed(Direction::Push);
-        let batched = ms_bfs(&engine, &g, &sources, policy, &probes)
+        let batched = Runner::new(&engine, &probes)
+            .policy(policy)
+            .run(&g, MsBfsProgram::new(&g, SourceBatch::new(&g, &sources)))
             .report
             .edges_traversed();
         let sequential: u64 = sources
             .iter()
             .map(|&s| {
-                crate::algo::bfs::bfs(&engine, &g, s, policy, &probes)
+                Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, BfsProgram::new(&g, s))
                     .report
                     .edges_traversed()
             })

@@ -34,11 +34,8 @@ use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{frontier_where, PhaseKernel, Program, RoundCtx};
-use crate::report::RunReport;
-use crate::runner::Runner;
 
 /// An empty minimum-edge slot.
 const EMPTY: u64 = u64::MAX;
@@ -67,28 +64,6 @@ impl MstPhaseKind {
             1 => MstPhaseKind::BuildMergeTree,
             _ => MstPhaseKind::Merge,
         }
-    }
-}
-
-/// Result of an engine Boruvka run.
-#[derive(Clone, Debug)]
-pub struct ParMstResult {
-    /// The spanning forest's edges, canonical `(min, max, w)`, sorted.
-    pub edges: Vec<(VertexId, VertexId, Weight)>,
-    /// Sum of the selected edge weights.
-    pub total_weight: u64,
-    /// Per-round statistics; phases cycle FM → BMT → M (see
-    /// [`MstPhaseKind::of`]), so `report.phase_rounds(3k)` is iteration
-    /// `k`'s find-minimum sweep, `3k + 1` its merge-tree build, `3k + 2`
-    /// its relabeling.
-    pub report: RunReport,
-}
-
-impl ParMstResult {
-    /// Number of Boruvka iterations the run took (the final iteration has
-    /// FM + BMT but no M phase — nothing merged).
-    pub fn iterations(&self) -> u32 {
-        self.report.phases.div_ceil(3)
     }
 }
 
@@ -258,6 +233,8 @@ impl<P: Probe> EdgeKernel<P> for MstProgram {
 }
 
 impl<P: ShardProbe> Program<P> for MstProgram {
+    /// `(edges, total_weight)`: the spanning forest's edges, canonical
+    /// `(min, max, w)` and sorted, and the sum of their weights.
     type Output = (Vec<(VertexId, VertexId, Weight)>, u64);
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -341,28 +318,12 @@ impl<P: ShardProbe> Program<P> for MstProgram {
     }
 }
 
-/// Boruvka MST/MSF under the given direction policy.
-pub fn boruvka<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParMstResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, MstProgram::new(g));
-    let (edges, total_weight) = run.output;
-    ParMstResult {
-        edges,
-        total_weight,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partitioned::ExecutionMode;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::mst::kruskal_seq;
     use pp_core::Direction;
     use pp_graph::{gen, GraphBuilder};
@@ -385,9 +346,12 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = boruvka(&engine, &g, policy, &probes);
-                    assert_eq!(r.total_weight, kweight, "seed {seed} x{threads} {policy:?}");
-                    assert_eq!(r.edges.len(), kedges.len(), "seed {seed} edge count");
+                    let (edges, total_weight) = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, MstProgram::new(&g))
+                        .output;
+                    assert_eq!(total_weight, kweight, "seed {seed} x{threads} {policy:?}");
+                    assert_eq!(edges.len(), kedges.len(), "seed {seed} edge count");
                 }
             }
         }
@@ -411,9 +375,12 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = boruvka(&engine, &g, policy, &probes);
-            assert_eq!(r.edges, kedges, "{policy:?}");
-            assert_eq!(r.total_weight, kw);
+            let (edges, total_weight) = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, MstProgram::new(&g))
+                .output;
+            assert_eq!(edges, kedges, "{policy:?}");
+            assert_eq!(total_weight, kw);
         }
     }
 
@@ -432,9 +399,12 @@ mod tests {
         let engine = Engine::new(4);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = boruvka(&engine, &g, policy, &probes);
-            assert_eq!(r.total_weight, 7 * 7, "{policy:?}");
-            assert_eq!(r.edges.len(), 7);
+            let (edges, total_weight) = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, MstProgram::new(&g))
+                .output;
+            assert_eq!(total_weight, 7 * 7, "{policy:?}");
+            assert_eq!(edges.len(), 7);
         }
     }
 
@@ -446,9 +416,12 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         for policy in policies() {
-            let r = boruvka(&engine, &g, policy, &probes);
-            assert_eq!(r.edges.len(), 4, "{policy:?}");
-            assert_eq!(r.total_weight, 10);
+            let (edges, total_weight) = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&g, MstProgram::new(&g))
+                .output;
+            assert_eq!(edges.len(), 4, "{policy:?}");
+            assert_eq!(total_weight, 10);
         }
     }
 
@@ -457,15 +430,13 @@ mod tests {
         let g = gen::with_random_weights(&gen::path(64), 1, 9, 4);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = boruvka(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, MstProgram::new(&g));
         // Phases cycle FM, BMT, M; the last iteration stops after its BMT.
         assert_eq!(r.report.phases % 3, 2, "final iteration has no merge");
-        assert!(r.iterations() >= 2 && r.iterations() <= 8, "log-ish rounds");
+        let iterations = r.report.phases.div_ceil(3);
+        assert!((2..=8).contains(&iterations), "log-ish rounds");
         for p in 0..r.report.phases {
             let rounds: Vec<_> = r.report.phase_rounds(p).collect();
             assert_eq!(rounds.len(), 1, "every MST phase is single-round");
@@ -492,21 +463,15 @@ mod tests {
         let engine = Engine::new(4);
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        boruvka(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Push),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, MstProgram::new(&g));
         assert!(probes.merged().atomics > 0, "FM push must CAS-min");
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        boruvka(
-            &engine,
-            &g,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, MstProgram::new(&g));
         assert_eq!(probes.merged().atomics, 0, "FM pull is sync-free");
         assert_eq!(probes.merged().locks, 0);
 
@@ -530,14 +495,18 @@ mod tests {
         let empty = GraphBuilder::undirected(0)
             .weighted_edges(std::iter::empty::<(u32, u32, u32)>())
             .build();
-        let r = boruvka(&engine, &empty, DirectionPolicy::adaptive(), &probes);
-        assert!(r.edges.is_empty());
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&empty, MstProgram::new(&empty));
+        assert!(r.output.0.is_empty());
         assert_eq!(r.report.phases, 0, "nothing ran on the empty graph");
         let single = GraphBuilder::undirected(3)
             .weighted_edges(std::iter::empty::<(u32, u32, u32)>())
             .build();
-        let r = boruvka(&engine, &single, DirectionPolicy::adaptive(), &probes);
-        assert_eq!(r.total_weight, 0);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&single, MstProgram::new(&single));
+        assert_eq!(r.output.1, 0);
         assert_eq!(r.report.phases, 2, "one FM + one BMT, no merge");
     }
 

@@ -11,16 +11,13 @@
 
 use pp_core::pagerank::PrOptions;
 use pp_core::sync::AtomicF64;
-use pp_core::Direction;
 use pp_graph::{CsrGraph, VertexId, Weight};
 use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::Program;
-use crate::runner::Runner;
 
 /// PageRank as a vertex program: double-buffered ranks, one phase per
 /// iteration.
@@ -121,24 +118,13 @@ impl<P: ShardProbe> Program<P> for PageRankProgram {
     }
 }
 
-/// PageRank in the given direction; `opts` as in the core crate.
-pub fn pagerank<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    dir: Direction,
-    opts: &PrOptions,
-    probes: &ProbeShards<P>,
-) -> Vec<f64> {
-    Runner::new(engine, probes)
-        .policy(DirectionPolicy::Fixed(dir))
-        .run(g, PageRankProgram::new(g, opts))
-        .output
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::pagerank::{l1_distance, pagerank_seq};
+    use pp_core::Direction;
     use pp_graph::gen;
     use pp_telemetry::{CountingProbe, NullProbe};
 
@@ -154,7 +140,10 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for dir in Direction::BOTH {
-                    let r = pagerank(&engine, &g, dir, &opts, &probes);
+                    let r = Runner::new(&engine, &probes)
+                        .policy(DirectionPolicy::Fixed(dir))
+                        .run(&g, PageRankProgram::new(&g, &opts))
+                        .output;
                     let diff = l1_distance(&reference, &r);
                     assert!(diff < 1e-9, "{dir:?} x{threads}: L1 {diff}");
                 }
@@ -171,7 +160,10 @@ mod tests {
             .map(|&t| {
                 let engine = Engine::new(t);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-                pagerank(&engine, &g, Direction::Pull, &opts, &probes)
+                Runner::new(&engine, &probes)
+                    .policy(DirectionPolicy::Fixed(Direction::Pull))
+                    .run(&g, PageRankProgram::new(&g, &opts))
+                    .output
             })
             .collect();
         assert_eq!(runs[0], runs[1]);
@@ -225,7 +217,10 @@ mod tests {
             iters: 0,
             damping: 0.85,
         };
-        let r = pagerank(&engine, &g, Direction::Pull, &opts, &probes);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, PageRankProgram::new(&g, &opts))
+            .output;
         assert!(r.iter().all(|&x| (x - 0.1).abs() < 1e-15));
     }
 
@@ -239,7 +234,9 @@ mod tests {
         };
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        pagerank(&engine, &g, Direction::Push, &opts, &probes);
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, PageRankProgram::new(&g, &opts));
         let push = probes.merged();
         assert!(
             push.atomics as usize >= 3 * g.num_arcs(),
@@ -247,7 +244,9 @@ mod tests {
         );
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        pagerank(&engine, &g, Direction::Pull, &opts, &probes);
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, PageRankProgram::new(&g, &opts));
         let pull = probes.merged();
         assert_eq!(pull.atomics, 0);
         assert_eq!(pull.locks, 0);

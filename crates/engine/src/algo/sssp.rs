@@ -5,46 +5,20 @@
 //! stops improving, exactly like the core variants. The frontier of a round
 //! is the set of bucket members that changed in the previous round; the
 //! kernel relaxes with CAS-min when pushing and with own-cell mins when
-//! pulling, and the [`DirectionPolicy`] may switch direction phase by
-//! phase — a schedule neither core variant offers.
+//! pulling, and the [`crate::DirectionPolicy`] may switch direction phase
+//! by phase — a schedule neither core variant offers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pp_core::sssp::{SsspOptions, INF};
 use pp_core::sync::atomic_min_u64;
-use pp_core::Direction;
 use pp_graph::{CsrGraph, VertexId, Weight};
 use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
 use crate::probes::{ProbeShards, ShardProbe};
 use crate::program::{frontier_where, Program};
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Per-epoch trace of an engine Δ-stepping run.
-#[derive(Clone, Copy, Debug)]
-pub struct ParEpoch {
-    /// Bucket index (distances in `[bΔ, (b+1)Δ)`).
-    pub bucket: u64,
-    /// Phases (rounds) until the bucket settled.
-    pub phases: usize,
-    /// Pull rounds among them (the adaptive policy's choices).
-    pub pull_phases: usize,
-}
-
-/// Result of an engine Δ-stepping run.
-#[derive(Clone, Debug)]
-pub struct ParSsspResult {
-    /// Shortest distance from the root ([`INF`] if unreachable).
-    pub dist: Vec<u64>,
-    /// Per-epoch trace (one entry per bucket the run settled).
-    pub epochs: Vec<ParEpoch>,
-    /// Per-round direction/frontier/edge statistics.
-    pub report: RunReport,
-}
 
 /// Δ-stepping as a vertex program: one phase per distance bucket.
 pub struct SsspProgram {
@@ -131,6 +105,9 @@ impl<P: Probe> EdgeKernel<P> for SsspProgram {
 }
 
 impl<P: ShardProbe> Program<P> for SsspProgram {
+    /// `(dist, buckets)`: the shortest distance from the root per vertex
+    /// ([`INF`] if unreachable) and the bucket index (distances in
+    /// `[bΔ, (b+1)Δ)`) each runner phase settled, in phase order.
     type Output = (Vec<u64>, Vec<u64>);
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -165,49 +142,13 @@ impl<P: ShardProbe> Program<P> for SsspProgram {
     }
 }
 
-/// Δ-stepping from `root` under the given direction policy.
-pub fn sssp_delta<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    root: VertexId,
-    policy: DirectionPolicy,
-    opts: &SsspOptions,
-    probes: &ProbeShards<P>,
-) -> ParSsspResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, SsspProgram::new(g, root, opts));
-    let (dist, buckets) = run.output;
-    let epochs = buckets
-        .iter()
-        .enumerate()
-        .map(|(phase, &bucket)| {
-            let rounds = run.report.phase_rounds(phase as u32);
-            let (mut phases, mut pull_phases) = (0usize, 0usize);
-            for s in rounds {
-                phases += 1;
-                if s.dir == Direction::Pull {
-                    pull_phases += 1;
-                }
-            }
-            ParEpoch {
-                bucket,
-                phases,
-                pull_phases,
-            }
-        })
-        .collect();
-    ParSsspResult {
-        dist,
-        epochs,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::DirectionPolicy;
+    use crate::runner::Runner;
     use pp_core::sssp::dijkstra;
+    use pp_core::Direction;
     use pp_graph::gen;
     use pp_telemetry::{CountingProbe, NullProbe};
 
@@ -232,8 +173,11 @@ mod tests {
                         DirectionPolicy::Fixed(Direction::Pull),
                         DirectionPolicy::adaptive(),
                     ] {
-                        let r = sssp_delta(&engine, &g, 0, policy, &SsspOptions { delta }, &probes);
-                        assert_eq!(r.dist, reference, "Δ={delta} x{threads} {policy:?}");
+                        let (dist, _) = Runner::new(&engine, &probes)
+                            .policy(policy)
+                            .run(&g, SsspProgram::new(&g, 0, &SsspOptions { delta }))
+                            .output;
+                        assert_eq!(dist, reference, "Δ={delta} x{threads} {policy:?}");
                     }
                 }
             }
@@ -244,28 +188,17 @@ mod tests {
     fn push_counts_cas_pull_counts_none() {
         let g = gen::with_random_weights(&gen::rmat(7, 4, 9), 1, 30, 7);
         let engine = Engine::new(2);
-        let opts = SsspOptions { delta: 16 };
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        sssp_delta(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Push),
-            &opts,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, SsspProgram::new(&g, 0, &SsspOptions { delta: 16 }));
         assert!(probes.merged().atomics > 0, "push relaxations CAS-min");
 
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        sssp_delta(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Pull),
-            &opts,
-            &probes,
-        );
+        Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Pull))
+            .run(&g, SsspProgram::new(&g, 0, &SsspOptions { delta: 16 }));
         assert_eq!(probes.merged().atomics, 0, "pull is synchronization-free");
     }
 
@@ -274,16 +207,12 @@ mod tests {
         let g = gen::with_random_weights(&gen::path(40), 1, 9, 3);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = sssp_delta(
-            &engine,
-            &g,
-            0,
-            DirectionPolicy::Fixed(Direction::Push),
-            &SsspOptions { delta: 8 },
-            &probes,
-        );
-        assert!(r.epochs.windows(2).all(|w| w[0].bucket < w[1].bucket));
-        assert!(r.epochs.iter().all(|e| e.phases >= 1));
-        assert_eq!(r.report.phases as usize, r.epochs.len());
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(Direction::Push))
+            .run(&g, SsspProgram::new(&g, 0, &SsspOptions { delta: 8 }));
+        let (_, buckets) = &r.output;
+        assert!(buckets.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(r.report.phases as usize, buckets.len());
+        assert!((0..r.report.phases).all(|p| r.report.phase_rounds(p).count() >= 1));
     }
 }

@@ -26,29 +26,9 @@ use pp_graph::{CsrGraph, VertexId, Weight};
 use pp_telemetry::{addr_of_index, Probe};
 
 use crate::frontier::Frontier;
-use crate::ops::{EdgeKernel, Engine};
-use crate::policy::DirectionPolicy;
-use crate::probes::{ProbeShards, ShardProbe};
+use crate::ops::EdgeKernel;
+use crate::probes::ShardProbe;
 use crate::program::Program;
-use crate::report::RunReport;
-use crate::runner::Runner;
-
-/// Result of an engine triangle count.
-#[derive(Clone, Debug)]
-pub struct ParTcResult {
-    /// Per-vertex triangle counts: `counts[v]` = triangles containing `v`.
-    pub counts: Vec<u64>,
-    /// Per-round direction/frontier/edge statistics (a single dense round).
-    pub report: RunReport,
-}
-
-impl ParTcResult {
-    /// Total triangles in the graph (each counted once).
-    pub fn total(&self) -> u64 {
-        // Each triangle contributes 1 to each of its three corners.
-        self.counts.iter().sum::<u64>() / 3
-    }
-}
 
 /// NodeIterator triangle counting as a vertex program: one dense round.
 pub struct TcProgram<'g> {
@@ -127,6 +107,7 @@ impl<P: Probe> EdgeKernel<P> for TcProgram<'_> {
 }
 
 impl<P: ShardProbe> Program<P> for TcProgram<'_> {
+    /// Per-vertex triangle counts: `counts[v]` = triangles containing `v`.
     type Output = Vec<u64>;
 
     fn initial_frontier(&mut self, g: &CsrGraph) -> Frontier {
@@ -139,26 +120,14 @@ impl<P: ShardProbe> Program<P> for TcProgram<'_> {
     }
 }
 
-/// Triangle counts under the given direction policy.
-pub fn triangle_counts<P: ShardProbe>(
-    engine: &Engine,
-    g: &CsrGraph,
-    policy: DirectionPolicy,
-    probes: &ProbeShards<P>,
-) -> ParTcResult {
-    let run = Runner::new(engine, probes)
-        .policy(policy)
-        .run(g, TcProgram::new(g));
-    ParTcResult {
-        counts: run.output,
-        report: run.report,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Engine;
     use crate::partitioned::ExecutionMode;
+    use crate::policy::DirectionPolicy;
+    use crate::probes::ProbeShards;
+    use crate::runner::Runner;
     use pp_core::triangles::triangle_counts_seq;
     use pp_core::Direction;
     use pp_graph::{gen, GraphBuilder};
@@ -177,8 +146,11 @@ mod tests {
                 let engine = Engine::new(threads);
                 let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
                 for policy in policies() {
-                    let r = triangle_counts(&engine, &g, policy, &probes);
-                    assert_eq!(r.counts, expected, "seed {seed} x{threads} {policy:?}");
+                    let counts = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&g, TcProgram::new(&g))
+                        .output;
+                    assert_eq!(counts, expected, "seed {seed} x{threads} {policy:?}");
                 }
             }
         }
@@ -191,22 +163,29 @@ mod tests {
         // K5: each vertex in C(4,2) = 6 triangles, C(5,3) = 10 total.
         let k5 = gen::complete(5);
         for policy in policies() {
-            let r = triangle_counts(&engine, &k5, policy, &probes);
-            assert_eq!(r.counts, vec![6; 5], "{policy:?}");
-            assert_eq!(r.total(), 10);
+            let counts = Runner::new(&engine, &probes)
+                .policy(policy)
+                .run(&k5, TcProgram::new(&k5))
+                .output;
+            assert_eq!(counts, vec![6; 5], "{policy:?}");
         }
         // Triangle-free families.
         for g in [gen::path(10), gen::star(10), gen::cycle(8)] {
-            let r = triangle_counts(&engine, &g, DirectionPolicy::adaptive(), &probes);
-            assert_eq!(r.total(), 0);
+            let counts = Runner::new(&engine, &probes)
+                .policy(DirectionPolicy::adaptive())
+                .run(&g, TcProgram::new(&g))
+                .output;
+            assert!(counts.iter().all(|&c| c == 0));
         }
         // Bowtie: two triangles sharing vertex 2.
         let bow = GraphBuilder::undirected(5)
             .edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
             .build();
-        let r = triangle_counts(&engine, &bow, DirectionPolicy::adaptive(), &probes);
-        assert_eq!(r.counts, vec![1, 1, 2, 1, 1]);
-        assert_eq!(r.total(), 2);
+        let counts = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&bow, TcProgram::new(&bow))
+            .output;
+        assert_eq!(counts, vec![1, 1, 2, 1, 1]);
     }
 
     #[test]
@@ -214,7 +193,9 @@ mod tests {
         let g = gen::rmat(6, 5, 4);
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-        let r = triangle_counts(&engine, &g, DirectionPolicy::adaptive(), &probes);
+        let r = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&g, TcProgram::new(&g));
         assert_eq!(r.report.phases, 1);
         assert_eq!(r.report.num_rounds(), 1);
         assert_eq!(r.report.rounds[0].frontier, g.num_vertices());
@@ -252,13 +233,16 @@ mod tests {
         let engine = Engine::new(2);
         let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
         let empty = GraphBuilder::undirected(0).build();
-        assert!(
-            triangle_counts(&engine, &empty, DirectionPolicy::adaptive(), &probes)
-                .counts
-                .is_empty()
-        );
+        assert!(Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&empty, TcProgram::new(&empty))
+            .output
+            .is_empty());
         let one = GraphBuilder::undirected(1).build();
-        let r = triangle_counts(&engine, &one, DirectionPolicy::adaptive(), &probes);
-        assert_eq!(r.counts, vec![0]);
+        let counts = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::adaptive())
+            .run(&one, TcProgram::new(&one))
+            .output;
+        assert_eq!(counts, vec![0]);
     }
 }

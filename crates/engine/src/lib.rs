@@ -67,10 +67,6 @@
 //! assert!(run.report.switched() || run.report.pull_rounds() == 0);
 //! ```
 //!
-//! Each algorithm also keeps a one-call convenience wrapper
-//! (`algo::bfs::bfs`, `algo::pagerank::pagerank`, …) that builds the
-//! program, runs it, and reshapes the output.
-//!
 //! ## Partition-aware execution (§5)
 //!
 //! Push's per-edge atomics are a *scheduling* artifact too: they exist
@@ -101,46 +97,6 @@
 //! overrides it because its σ accumulation needs every delivered parent,
 //! not a candidate-gated first one). Pull rounds are untouched, so any
 //! [`DirectionPolicy`] composes with either mode.
-//!
-//! ## Migrating from the pre-`Program` API (PR 1)
-//!
-//! * `algo::bfs::bfs(...)` still exists; its result now carries the
-//!   unified `report: RunReport` instead of ad-hoc `rounds: Vec<ParRound>`
-//!   — read `r.report.rounds` (fields `round`, `phase`, `dir`, `frontier`,
-//!   `frontier_edges`).
-//! * `algo::sssp::sssp_delta(...)` unchanged in shape; the per-epoch trace
-//!   is now derived from the report's phases.
-//! * `EdgeKernel::push`/`pull` were renamed `push_update`/`pull_gather`;
-//!   hand-rolled round loops over `Engine::edge_map` should become
-//!   `Program` impls — compare `algo/bfs.rs` before/after for the recipe.
-//! * `Frontier::edge_count()` now takes the graph
-//!   (`edge_count(&g)`) and is lazily computed + cached instead of eagerly
-//!   summed at construction.
-//!
-//! ## Migrating to `ExecutionMode` (PR 3)
-//!
-//! * `Runner` gains a `.mode(ExecutionMode)` builder step. Existing code
-//!   is unchanged: the default is [`ExecutionMode::Atomic`], the exact
-//!   pre-PR behaviour. Opt into owner-computes push with
-//!   `.mode(ExecutionMode::PartitionAware)` — no `Program` changes needed.
-//! * `RoundStat` gained `remote_updates`/`buffer_peak` fields (zero under
-//!   `Atomic`); struct-literal constructions must add them.
-//! * [`EdgeKernel`] gained the defaulted `apply_owned` hook; override it
-//!   only if a program can apply an owned update cheaper than its
-//!   candidate-gated pull kernel — or if the candidate gate would drop
-//!   repeat deliveries a kernel needs (BC's σ accumulation overrides it
-//!   for exactly that reason; see `algo/bc.rs`).
-//!
-//! ## Migrating to the per-phase lifecycle (PR 4)
-//!
-//! * [`Program::phase_kernel`] is defaulted (`PhaseKernel::EdgeMap`):
-//!   existing programs are unchanged.
-//! * `RunReport::phases` now counts the phases that executed at least one
-//!   round, so a zero-round run reports 0 (previously a phantom 1),
-//!   matching `RunReport::default()`.
-//! * `Frontier::insert` is amortized O(1): the sparse representation keeps
-//!   a membership bitmap once inserts begin (incremental frontier builds
-//!   used to be quadratic in the frontier size).
 //!
 //! ## Ingestion and external drivers (PR 5)
 //!

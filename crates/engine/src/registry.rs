@@ -686,25 +686,82 @@ mod tests {
 
     #[test]
     fn summaries_match_reference_statistics() {
+        use pp_core::{bc, kcore, labelprop, mst, pagerank, sssp, triangles, Direction};
+
         let g = gen::erdos_renyi(120, 90, 5); // several components
+        let gw = gen::with_random_weights(&g, 1, 40, 9);
         let engine = Engine::new(2);
         let probes = ProbeShards::new(engine.threads());
         let cfg = RunConfig::new(&engine, &probes);
-        let cc = find("cc").unwrap().run(&cfg, &g);
+        let summary = |algo: &str| {
+            let spec = find(algo).unwrap();
+            spec.run(&cfg, if spec.needs_weights { &gw } else { &g })
+                .summary
+        };
+        let get = |summary: &[(&str, String)], key: &str| -> String {
+            let (_, v) = summary.iter().find(|(k, _)| *k == key).unwrap();
+            v.clone()
+        };
+        // The twin's score at the reported top vertex is the twin's
+        // maximum — robust to ties and to ε-level float reordering.
+        let tops_agree = |algo: &str, twin: &[f64]| {
+            let top: usize = get(&summary(algo), "top_vertex").parse().unwrap();
+            let max = twin.iter().copied().fold(f64::MIN, f64::max);
+            assert!((twin[top] - max).abs() <= 1e-9 * max.abs(), "{algo}");
+        };
+
         assert_eq!(
-            cc.summary[0],
-            ("components", stats::num_components(&g).to_string())
+            summary("cc"),
+            [("components", stats::num_components(&g).to_string())]
         );
-        let bfs = find("bfs").unwrap().run(&cfg, &g);
-        let (level, _, _) = stats::bfs_levels(&g, 0);
+
+        let (level, _, ecc) = stats::bfs_levels(&g, 0);
         let reached = level.iter().filter(|&&l| l != u32::MAX).count();
-        assert_eq!(bfs.summary[0], ("reached", reached.to_string()));
-        let tc = find("tc").unwrap().run(&cfg, &g);
-        let expected: u64 = pp_core::triangles::triangle_counts_seq(&g)
-            .iter()
-            .sum::<u64>()
-            / 3;
-        assert_eq!(tc.summary[0], ("triangles", expected.to_string()));
+        assert_eq!(
+            summary("bfs"),
+            [("reached", reached.to_string()), ("depth", ecc.to_string())]
+        );
+
+        let dist = sssp::dijkstra(&gw, 0);
+        let finite: Vec<u64> = dist.into_iter().filter(|&d| d != sssp::INF).collect();
+        let s = summary("sssp");
+        assert_eq!(get(&s, "reached"), finite.len().to_string());
+        let max_dist = finite.iter().max().unwrap();
+        assert_eq!(get(&s, "max_dist"), max_dist.to_string());
+
+        let degeneracy = kcore::coreness_seq(&g).into_iter().max().unwrap();
+        assert_eq!(summary("kcore"), [("degeneracy", degeneracy.to_string())]);
+
+        let lp = labelprop::label_propagation(&g, Direction::Pull, cfg.lp_iters);
+        assert_eq!(
+            summary("labelprop"),
+            [
+                ("communities", distinct(&lp.labels).to_string()),
+                ("iterations", lp.iterations.to_string()),
+                ("converged", lp.converged.to_string()),
+            ]
+        );
+
+        let colors: usize = get(&summary("coloring"), "colors").parse().unwrap();
+        assert!(colors <= g.max_degree() + 1, "{colors} colors");
+
+        let expected: u64 = triangles::triangle_counts_seq(&g).iter().sum::<u64>() / 3;
+        assert_eq!(summary("tc"), [("triangles", expected.to_string())]);
+
+        let (edges, weight) = mst::kruskal_seq(&gw);
+        assert_eq!(
+            summary("mst"),
+            [
+                ("tree_edges", edges.len().to_string()),
+                ("total_weight", weight.to_string()),
+            ]
+        );
+
+        tops_agree(
+            "pagerank",
+            &pagerank::pagerank_seq(&g, &pagerank::PrOptions::default()),
+        );
+        tops_agree("bc", &bc::betweenness_seq(&g, cfg.bc_sources));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! cargo run --release --example engine_bfs
 //! ```
 
+use pushpull::core::bfs::UNVISITED;
 use pushpull::core::Direction;
-use pushpull::engine::{algo, DirectionPolicy, Engine, ProbeShards};
+use pushpull::engine::{algo::bfs::BfsProgram, DirectionPolicy, Engine, ProbeShards, Runner};
 use pushpull::graph::datasets::{Dataset, Scale};
 use pushpull::telemetry::{CountingProbe, NullProbe};
 
@@ -27,8 +28,12 @@ fn main() {
 
     // --- The adaptive schedule, round by round. ---
     let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-    let r = algo::bfs::bfs(&engine, &g, 0, DirectionPolicy::adaptive(), &probes);
-    println!("\nadaptive BFS from vertex 0 ({} reached):", r.reached());
+    let r = Runner::new(&engine, &probes)
+        .policy(DirectionPolicy::adaptive())
+        .run(&g, BfsProgram::new(&g, 0));
+    let (_, level) = &r.output;
+    let reached = level.iter().filter(|&&l| l != UNVISITED).count();
+    println!("\nadaptive BFS from vertex 0 ({reached} reached):");
     println!(
         "{:>6} {:>10} {:>12}  direction",
         "round", "frontier", "edges"
@@ -53,8 +58,10 @@ fn main() {
     println!("\nevent counts per fixed schedule (merged from per-worker shards):");
     for dir in Direction::BOTH {
         let probes: ProbeShards<CountingProbe> = ProbeShards::new(engine.threads());
-        let fixed = algo::bfs::bfs(&engine, &g, 0, DirectionPolicy::Fixed(dir), &probes);
-        assert_eq!(fixed.level, r.level, "schedules must agree on levels");
+        let fixed = Runner::new(&engine, &probes)
+            .policy(DirectionPolicy::Fixed(dir))
+            .run(&g, BfsProgram::new(&g, 0));
+        assert_eq!(&fixed.output.1, level, "schedules must agree on levels");
         let c = probes.merged();
         println!(
             "  {dir:>7}: {:>9} atomics, {:>10} reads, {:>9} writes",

@@ -1,11 +1,10 @@
 //! One `Program`, every schedule: connected components on the `pp-engine`
 //! runtime.
 //!
-//! Demonstrates the `Runner`/`Program` API directly (no convenience
-//! wrapper): the same `CcProgram` label-min kernels run under push, pull,
-//! and adaptive policies, land on the identical component labeling, and
-//! the unified `RunReport` shows how differently the three schedules got
-//! there.
+//! Demonstrates the `Runner`/`Program` API: the same `CcProgram` label-min
+//! kernels run under push, pull, and adaptive policies, land on the
+//! identical component labeling, and the unified `RunReport` shows how
+//! differently the three schedules got there.
 //!
 //! ```text
 //! cargo run --release --example engine_cc

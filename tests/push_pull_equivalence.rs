@@ -180,13 +180,16 @@ fn engine_bfs_matches_sequential_levels_everywhere() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for policy in engine_policies() {
-                let r = algo::bfs::bfs(&engine, &g, 0, policy, &probes);
-                assert_eq!(r.level, expected, "{name} x{threads} {policy:?}");
+                let r = Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, algo::bfs::BfsProgram::new(&g, 0));
                 assert_eq!(r.report.phases, 1, "{name}: BFS is single-phase");
+                let (parent, level) = r.output;
+                assert_eq!(level, expected, "{name} x{threads} {policy:?}");
                 // The Graph500-style validator accepts the parent tree too.
                 let as_core = bfs::BfsResult {
-                    parent: r.parent.clone(),
-                    level: r.level.clone(),
+                    parent,
+                    level,
                     rounds: Vec::new(),
                 };
                 assert!(
@@ -213,7 +216,10 @@ fn engine_pagerank_matches_sequential_oracle_everywhere() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for dir in Direction::BOTH {
-                let r = algo::pagerank::pagerank(&engine, &g, dir, &opts, &probes);
+                let r = Runner::new(&engine, &probes)
+                    .policy(DirectionPolicy::Fixed(dir))
+                    .run(&g, algo::pagerank::PageRankProgram::new(&g, &opts))
+                    .output;
                 let diff = pagerank::l1_distance(&reference, &r);
                 assert!(diff < 1e-9, "{name} {dir:?} x{threads}: L1 {diff}");
             }
@@ -234,17 +240,14 @@ fn engine_sssp_matches_dijkstra_everywhere() {
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for delta in [4u64, 64] {
                 for policy in engine_policies() {
-                    let r = algo::sssp::sssp_delta(
-                        &engine,
-                        &gw,
-                        0,
-                        policy,
-                        &sssp::SsspOptions { delta },
-                        &probes,
-                    );
-                    assert_eq!(r.dist, reference, "{name} x{threads} Δ={delta} {policy:?}");
+                    let opts = sssp::SsspOptions { delta };
+                    let (dist, _) = Runner::new(&engine, &probes)
+                        .policy(policy)
+                        .run(&gw, algo::sssp::SsspProgram::new(&gw, 0, &opts))
+                        .output;
+                    assert_eq!(dist, reference, "{name} x{threads} Δ={delta} {policy:?}");
                     assert!(
-                        validate::validate_sssp(&gw, 0, &r.dist).is_ok(),
+                        validate::validate_sssp(&gw, 0, &dist).is_ok(),
                         "{name} x{threads}: invalid SSSP distances"
                     );
                 }
@@ -260,7 +263,9 @@ fn engine_adaptive_switching_is_exercised_on_dense_families() {
     let g = Dataset::Orc.generate(Scale::Test);
     let engine = Engine::new(4);
     let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-    let r = algo::bfs::bfs(&engine, &g, 0, DirectionPolicy::adaptive(), &probes);
+    let r = Runner::new(&engine, &probes)
+        .policy(DirectionPolicy::adaptive())
+        .run(&g, algo::bfs::BfsProgram::new(&g, 0));
     assert!(
         r.report.pull_rounds() > 0,
         "expected at least one pull round"
@@ -286,10 +291,14 @@ fn engine_components_match_core_labels_everywhere() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for policy in engine_policies() {
-                let r = algo::components::connected_components(&engine, &g, policy, &probes);
-                assert_eq!(r.labels, expected, "{name} x{threads} {policy:?}");
+                let labels = Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, algo::components::CcProgram::new(&g))
+                    .output;
+                assert_eq!(labels, expected, "{name} x{threads} {policy:?}");
+                let roots = (0..labels.len()).filter(|&v| labels[v] as usize == v);
                 assert_eq!(
-                    r.num_components(),
+                    roots.count(),
                     stats::num_components(&g),
                     "{name} x{threads} {policy:?}: component count"
                 );
@@ -306,13 +315,11 @@ fn engine_kcore_matches_sequential_peeling_everywhere() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for policy in engine_policies() {
-                let r = algo::kcore::kcore(&engine, &g, policy, &probes);
-                assert_eq!(r.coreness, expected, "{name} x{threads} {policy:?}");
-                assert_eq!(
-                    r.degeneracy,
-                    expected.iter().copied().max().unwrap_or(0),
-                    "{name}: degeneracy"
-                );
+                let coreness = Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, algo::kcore::KCoreProgram::new(&g))
+                    .output;
+                assert_eq!(coreness, expected, "{name} x{threads} {policy:?}");
             }
         }
     }
@@ -330,10 +337,13 @@ fn engine_labelprop_matches_core_iteration_for_iteration() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for policy in engine_policies() {
-                let r = algo::labelprop::label_propagation(&engine, &g, policy, CAP, &probes);
-                assert_eq!(r.labels, expected.labels, "{name} x{threads} {policy:?}");
-                assert_eq!(r.iterations, expected.iterations, "{name} {policy:?}");
-                assert_eq!(r.converged, expected.converged, "{name} {policy:?}");
+                let (labels, iterations, converged) = Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, algo::labelprop::LabelPropProgram::new(&g, CAP))
+                    .output;
+                assert_eq!(labels, expected.labels, "{name} x{threads} {policy:?}");
+                assert_eq!(iterations, expected.iterations, "{name} {policy:?}");
+                assert_eq!(converged, expected.converged, "{name} {policy:?}");
             }
         }
     }
@@ -346,16 +356,19 @@ fn engine_coloring_is_proper_and_greedy_bounded_everywhere() {
             let engine = Engine::new(threads);
             let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
             for policy in engine_policies() {
-                let r = algo::coloring::color(&engine, &g, policy, &probes);
+                let colors = Runner::new(&engine, &probes)
+                    .policy(policy)
+                    .run(&g, algo::coloring::ColoringProgram::new(&g))
+                    .output;
                 assert!(
-                    coloring::is_proper_coloring(&g, &r.colors),
+                    coloring::is_proper_coloring(&g, &colors),
                     "{name} x{threads} {policy:?}"
                 );
+                let max = colors.iter().copied().max().unwrap_or(0);
                 assert!(
-                    r.num_colors() <= g.max_degree() + 1,
-                    "{name} x{threads} {policy:?}: {} colors > Δ + 1 = {}",
-                    r.num_colors(),
-                    g.max_degree() + 1
+                    max as usize <= g.max_degree(),
+                    "{name} x{threads} {policy:?}: color {max} > Δ = {}",
+                    g.max_degree()
                 );
             }
         }
@@ -757,13 +770,9 @@ fn engine_probe_shards_reconcile_with_a_single_counting_probe() {
         let run = |threads: usize, shards: usize| {
             let engine = Engine::new(threads);
             let probes: ProbeShards<CountingProbe> = ProbeShards::new(shards);
-            algo::bfs::bfs(
-                &engine,
-                &g,
-                0,
-                DirectionPolicy::Fixed(Direction::Pull),
-                &probes,
-            );
+            Runner::new(&engine, &probes)
+                .policy(DirectionPolicy::Fixed(Direction::Pull))
+                .run(&g, algo::bfs::BfsProgram::new(&g, 0));
             probes.merged()
         };
         let sharded = run(8, 8);
