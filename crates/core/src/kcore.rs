@@ -196,7 +196,7 @@ pub fn kcore_probed<P: Probe>(g: &CsrGraph, dir: Direction, probe: &P) -> KCoreR
 /// split along the sides, the §5 worst case).
 pub fn kcore_push_pa<P: Probe>(
     g: &CsrGraph,
-    pa: &pp_graph::PartitionAwareGraph,
+    pa: &pp_graph::PartitionAwareGraph<'_>,
     probe: &P,
 ) -> KCoreResult {
     let n = g.num_vertices();
@@ -271,15 +271,17 @@ pub fn kcore_push_pa<P: Probe>(
                 .into_par_iter()
                 .fold(Vec::new, |mut my_f, t| {
                     for &v in frontier_ref.iter().filter(|&&v| part.owner(v) == t) {
-                        for &u in pa.remote_neighbors(v) {
-                            probe.branch_cond();
-                            if coreness[u as usize].load(Ordering::Relaxed) != u32::MAX {
-                                continue;
-                            }
-                            probe.atomic_rmw(addr_of_index(&deg, u as usize), 4);
-                            let prev = deg[u as usize].fetch_sub(1, Ordering::AcqRel);
-                            if prev == k + 1 {
-                                my_f.push(u);
+                        for half in pa.remote_neighbors(v) {
+                            for &u in half {
+                                probe.branch_cond();
+                                if coreness[u as usize].load(Ordering::Relaxed) != u32::MAX {
+                                    continue;
+                                }
+                                probe.atomic_rmw(addr_of_index(&deg, u as usize), 4);
+                                let prev = deg[u as usize].fetch_sub(1, Ordering::AcqRel);
+                                if prev == k + 1 {
+                                    my_f.push(u);
+                                }
                             }
                         }
                     }

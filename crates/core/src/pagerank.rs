@@ -188,7 +188,7 @@ pub fn pagerank_push<P: Probe>(
 /// cut arcs.
 pub fn pagerank_push_pa<P: Probe>(
     g: &CsrGraph,
-    pa: &PartitionAwareGraph,
+    pa: &PartitionAwareGraph<'_>,
     opts: &PrOptions,
     sync: PushSync,
     probe: &P,
@@ -241,23 +241,26 @@ pub fn pagerank_push_pa<P: Probe>(
                     }
                     probe.read(addr_of_index(pr_ref, v as usize), 8);
                     let share = opts.damping * pr_ref[v as usize] / d as f64;
-                    for &u in pa.remote_neighbors(v) {
-                        probe.branch_cond();
-                        match sync {
-                            PushSync::Locks => {
-                                probe.lock();
-                                probe.branch_uncond();
-                                probe.write(addr_of_index_atomic(atomics, u as usize), 8);
-                                locks.with(u as usize, || {
-                                    let cell = &atomics[u as usize];
-                                    cell.store(cell.load() + share);
-                                });
-                            }
-                            PushSync::Cas => {
-                                let attempts = atomics[u as usize].fetch_add(share);
-                                probe.branch_uncond();
-                                for _ in 0..attempts {
-                                    probe.atomic_rmw(addr_of_index_atomic(atomics, u as usize), 8);
+                    for half in pa.remote_neighbors(v) {
+                        for &u in half {
+                            probe.branch_cond();
+                            let addr = addr_of_index_atomic(atomics, u as usize);
+                            match sync {
+                                PushSync::Locks => {
+                                    probe.lock();
+                                    probe.branch_uncond();
+                                    probe.write(addr, 8);
+                                    locks.with(u as usize, || {
+                                        let cell = &atomics[u as usize];
+                                        cell.store(cell.load() + share);
+                                    });
+                                }
+                                PushSync::Cas => {
+                                    let attempts = atomics[u as usize].fetch_add(share);
+                                    probe.branch_uncond();
+                                    for _ in 0..attempts {
+                                        probe.atomic_rmw(addr, 8);
+                                    }
                                 }
                             }
                         }

@@ -72,11 +72,11 @@
 //! Push's per-edge atomics are a *scheduling* artifact too: they exist
 //! because any thread may target any vertex. [`Runner::mode`] with
 //! [`ExecutionMode::PartitionAware`] removes them. The run binds one
-//! [`pp_graph::BlockPartition`] part to each engine thread and builds the
-//! paper's `2n + 2m`-cell split representation
-//! ([`pp_graph::PartitionAwareGraph`]: per-vertex adjacency divided into
-//! same-owner and foreign-owner halves). Each push round then has two
-//! phases ([`partitioned::exchange`]):
+//! [`pp_graph::BlockPartition`] part to each engine thread and cuts every
+//! CSR row into its same-owner run and the foreign-owner prefix and suffix
+//! around it ([`pp_graph::PartitionAwareGraph`], a view; the paper copies
+//! the halves into a `2n + 2m`-cell second graph). Each push round then
+//! has two phases ([`partitioned::exchange`]):
 //!
 //! 1. **Traversal** — the worker owning part `t` walks its frontier
 //!    vertices: local targets get the update applied immediately with

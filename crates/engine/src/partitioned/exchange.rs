@@ -3,11 +3,12 @@
 //!
 //! **Traversal.** The frontier is bucketed by owning part; each part is one
 //! schedulable unit (parts are claimed dynamically, heaviest first, using
-//! the split arrays' O(1) degrees as the weight — the partitioned analogue
-//! of [`crate::ops`]' degree-aware chunking). The worker holding part `t`
-//! walks its frontier vertices' *local* halves applying
+//! O(1) degrees as the weight — the partitioned analogue of
+//! [`crate::ops`]' degree-aware chunking). The worker holding part `t`
+//! walks its frontier vertices' *local* runs (sub-slices of the CSR rows,
+//! cut by [`PartitionAwareGraph::split`]) applying
 //! [`EdgeKernel::apply_owned`] — plain writes, since both endpoints belong
-//! to `t` — and buffers every *remote* half entry into the
+//! to `t` — and buffers every *remote* entry into the
 //! [`ExchangeBuffers`], counting one [`pp_telemetry::Probe::remote_send`]
 //! where the atomic engine would have counted a CAS.
 //!
@@ -25,7 +26,7 @@
 
 use std::cell::UnsafeCell;
 
-use pp_graph::{PartitionAwareGraph, VertexId};
+use pp_graph::{PartitionAwareGraph, VertexId, Weight};
 
 use crate::frontier::Frontier;
 use crate::ops::{EdgeKernel, Engine, GRAIN};
@@ -52,7 +53,7 @@ pub(crate) struct Scratch {
     parts: usize,
     /// Frontier vertices bucketed by owning part.
     per_part: Vec<Vec<VertexId>>,
-    /// Split-arc weight of each part's bucket.
+    /// Arc weight of each part's bucket.
     weight: Vec<u64>,
     /// Part schedule for the traversal phase (heaviest first).
     order: Vec<usize>,
@@ -116,12 +117,26 @@ fn run_units(pool: &Pool, inline: bool, chunks: usize, f: &(dyn Fn(usize, usize)
     }
 }
 
+/// Calls `f(v, w)` for each target `v` of a row slice with its weight `w`
+/// from the parallel weight slice (1 on an unweighted graph).
+#[inline(always)]
+fn for_each_arc(
+    targets: &[VertexId],
+    weights: Option<&[Weight]>,
+    f: &mut impl FnMut(VertexId, Weight),
+) {
+    match weights {
+        Some(ws) => targets.iter().zip(ws).for_each(|(&v, &w)| f(v, w)),
+        None => targets.iter().for_each(|&v| f(v, 1)),
+    }
+}
+
 /// One owner-computes push round over the partition-aware split. Returns
 /// the activated vertices (duplicate-free, ascending) plus the round's
 /// exchange telemetry.
 pub(crate) fn pa_push_round<P: ShardProbe, K: EdgeKernel<P>>(
     engine: &Engine,
-    pa: &PartitionAwareGraph,
+    pa: &PartitionAwareGraph<'_>,
     buffers: &mut ExchangeBuffers,
     scratch: &mut Scratch,
     frontier: &mut Frontier,
@@ -135,12 +150,12 @@ pub(crate) fn pa_push_round<P: ShardProbe, K: EdgeKernel<P>>(
     scratch.begin_round();
 
     // Bucket the frontier by owner, weighing each part by its incident
-    // split arcs (local + remote + 1 per vertex, all O(1) reads).
+    // arcs (degree + 1 per vertex, all O(1) reads).
     let mut total_weight = 0u64;
     for &u in frontier.vertices() {
         let t = part.owner(u);
         scratch.per_part[t].push(u);
-        let w = (pa.local_degree(u) + pa.remote_degree(u) + 1) as u64;
+        let w = (pa.degree(u) + 1) as u64;
         scratch.weight[t] += w;
         total_weight += w;
     }
@@ -152,7 +167,8 @@ pub(crate) fn pa_push_round<P: ShardProbe, K: EdgeKernel<P>>(
     let weight = &scratch.weight;
     scratch.order.sort_by_key(|&t| std::cmp::Reverse(weight[t]));
 
-    let weighted = pa.is_weighted();
+    let g = pa.graph();
+    let weighted = g.is_weighted();
     let bufref: &ExchangeBuffers = buffers;
     scratch.tracker.advance_phase();
     {
@@ -167,26 +183,29 @@ pub(crate) fn pa_push_round<P: ShardProbe, K: EdgeKernel<P>>(
             // worker the sole user of slot `c`.
             let active = unsafe { &mut *sc.slots[c].get() };
             for &u in &sc.per_part[t] {
-                let lw = weighted.then(|| pa.local_neighbor_weights(u));
-                for (k, &v) in pa.local_neighbors(u).iter().enumerate() {
-                    let w = lw.map_or(1, |ws| ws[k]);
-                    // Both endpoints owned by `t`: plain-write apply.
+                // Both endpoints owned by `t`: plain-write apply.
+                let mut local = |v: VertexId, w: Weight| {
                     race::note_state_write(v);
                     if kernel.apply_owned(v, u, w, probe) {
                         active.push(v);
                     }
-                }
-                let rw = weighted.then(|| pa.remote_neighbor_weights(u));
-                for (k, &v) in pa.remote_neighbors(u).iter().enumerate() {
-                    let w = rw.map_or(1, |ws| ws[k]);
-                    // Foreign-owned: buffer for the owner. One send event
-                    // where the atomic engine would have counted a CAS.
+                };
+                // Foreign-owned: buffer for the owner. One send event
+                // where the atomic engine would have counted a CAS.
+                let mut send = |v: VertexId, w: Weight| {
                     // SAFETY: part `t` is claimed by exactly one worker
                     // this phase, making it the sole writer of row `t`.
                     let addr =
                         unsafe { bufref.push(t, part.owner(v), Update { src: u, dst: v, w }) };
                     probe.remote_send(addr, std::mem::size_of::<Update>());
-                }
+                };
+                // The local run, then the remote prefix and suffix, each in
+                // row order: the exchange sees one fixed update sequence.
+                let (prefix, owned, suffix) = pa.split(u, g.neighbors(u));
+                let ws = weighted.then(|| pa.split(u, g.neighbor_weights(u)));
+                for_each_arc(owned, ws.map(|w| w.1), &mut local);
+                for_each_arc(prefix, ws.map(|w| w.0), &mut send);
+                for_each_arc(suffix, ws.map(|w| w.2), &mut send);
             }
         });
     }

@@ -6,8 +6,8 @@
 //! the target*. Fix an ownership map (a [`BlockPartition`] of the vertex
 //! range over the workers) and split every adjacency list into the
 //! same-owner and foreign-owner halves
-//! ([`pp_graph::PartitionAwareGraph`], the `2n + 2m`-cell representation)
-//! and a pushing thread can
+//! ([`pp_graph::PartitionAwareGraph`], two cut indices per CSR row) and a
+//! pushing thread can
 //!
 //! * apply **local** updates with plain writes — both endpoints belong to
 //!   it, so nobody races — and
@@ -73,20 +73,20 @@ impl ExecutionMode {
     }
 }
 
-/// The per-run state of partition-aware execution: the split representation
-/// plus the reusable exchange buffers. Built by the runner at the start of
-/// a `PartitionAware` run (one part per engine thread) and threaded through
-/// its push rounds; `&mut` access serializes rounds, which is what the
-/// buffers' single-writer contracts assume.
-pub struct PaContext {
-    pa: PartitionAwareGraph,
+/// The per-run state of partition-aware execution: the split view of the
+/// run's graph plus the reusable exchange buffers. Built by the runner at
+/// the start of a `PartitionAware` run (one part per engine thread) and
+/// threaded through its push rounds; `&mut` access serializes rounds,
+/// which is what the buffers' single-writer contracts assume.
+pub struct PaContext<'g> {
+    pa: PartitionAwareGraph<'g>,
     buffers: ExchangeBuffers,
     scratch: exchange::Scratch,
 }
 
-impl PaContext {
-    /// Builds the §5 representation of `g` split over `parts` owners.
-    pub fn new(g: &CsrGraph, parts: usize) -> Self {
+impl<'g> PaContext<'g> {
+    /// Builds the §5 view of `g` split over `parts` owners.
+    pub fn new(g: &'g CsrGraph, parts: usize) -> Self {
         let parts = parts.max(1);
         Self {
             pa: PartitionAwareGraph::new(g, BlockPartition::new(g.num_vertices(), parts)),
@@ -95,8 +95,8 @@ impl PaContext {
         }
     }
 
-    /// The underlying split representation.
-    pub fn partition_graph(&self) -> &PartitionAwareGraph {
+    /// The underlying split view.
+    pub fn partition_graph(&self) -> &PartitionAwareGraph<'g> {
         &self.pa
     }
 
@@ -107,7 +107,6 @@ impl PaContext {
     pub fn push_round<P: ShardProbe, K: EdgeKernel<P>>(
         &mut self,
         engine: &Engine,
-        g: &CsrGraph,
         frontier: &mut Frontier,
         kernel: &K,
         probes: &ProbeShards<P>,
@@ -121,6 +120,7 @@ impl PaContext {
             kernel,
             probes,
         );
+        let g = self.pa.graph();
         let mut next = Frontier::from_vertices(g, active);
         if next.wants_dense(g) {
             next.densify();

@@ -102,11 +102,11 @@ impl<'a, P: ShardProbe> Runner<'a, P> {
     /// and `rounds.is_empty()`, exactly like [`RunReport::default`].
     pub fn run<Pg: Program<P>>(&self, g: &CsrGraph, mut program: Pg) -> Run<Pg::Output> {
         let mut policy = self.policy;
-        // Partition-aware runs bind one part per engine thread and build
+        // Partition-aware runs bind one part per engine thread and cut
         // the §5 split lazily at the first push round (a run whose policy
-        // never pushes skips the O(n + m) build entirely); the context —
-        // split representation and exchange buffers — then persists (and
-        // keeps its buffer capacity) across every push round of the run.
+        // never pushes skips the build entirely); the context — split
+        // view and exchange buffers — then persists (and keeps its buffer
+        // capacity) across every push round of the run.
         let mut pa: Option<PaContext> = None;
         let metrics = self.metrics;
         // All observability is opt-in per level: at `Off`, `clock` is None,
@@ -157,7 +157,7 @@ impl<'a, P: ShardProbe> Runner<'a, P> {
                         let pactx =
                             pa.get_or_insert_with(|| PaContext::new(g, self.engine.threads()));
                         let (next, stats) =
-                            pactx.push_round(self.engine, g, &mut frontier, &program, self.probes);
+                            pactx.push_round(self.engine, &mut frontier, &program, self.probes);
                         (next, Some(stats))
                     }
                     (PhaseKernel::EdgeMap, _, _) => (

@@ -18,6 +18,26 @@ pub struct CsrGraph {
     directed: bool,
 }
 
+/// Whether every row of a CSR slab (monotone `offsets` ending at
+/// `targets.len()`) is sorted: iff every descent sits on a row boundary.
+/// Both counts are branch-free sums, so they vectorize.
+pub(crate) fn rows_are_sorted(offsets: &[u64], targets: &[VertexId]) -> bool {
+    let next = targets.get(1..).unwrap_or_default();
+    let in_slab: usize = targets
+        .iter()
+        .zip(next)
+        .map(|(a, b)| usize::from(a > b))
+        .sum();
+    // Each interior boundary once: where a non-empty row ends.
+    let on_boundaries: usize = offsets
+        .windows(2)
+        .filter(|w| w[0] < w[1] && (w[1] as usize) < targets.len())
+        .map(|w| w[1] as usize)
+        .map(|o| usize::from(targets[o - 1] > targets[o]))
+        .sum();
+    in_slab == on_boundaries
+}
+
 impl CsrGraph {
     /// Builds a CSR graph from raw parts. Callers normally go through
     /// [`crate::GraphBuilder`]; this is the trusted-input path used by
@@ -26,7 +46,8 @@ impl CsrGraph {
     /// # Panics
     /// Panics if the offsets are not monotone, do not start at 0, do not end
     /// at `targets.len()`, if a target is out of range, or if the weight
-    /// array length does not match the target array.
+    /// array length does not match the target array. Debug builds also
+    /// panic if a row is not sorted ascending.
     pub fn from_parts(
         offsets: Vec<u64>,
         targets: Vec<VertexId>,
@@ -46,9 +67,10 @@ impl CsrGraph {
         );
         let n = offsets.len() - 1;
         assert!(
-            targets.iter().all(|&t| (t as usize) < n),
+            targets.iter().max().is_none_or(|&t| (t as usize) < n),
             "edge target out of range"
         );
+        debug_assert!(rows_are_sorted(&offsets, &targets), "rows not sorted");
         if let Some(w) = &weights {
             assert_eq!(w.len(), targets.len(), "weights must match targets");
         }

@@ -2,9 +2,10 @@
 //!
 //! Implements the representation of §2.2 of the paper: adjacency arrays of
 //! all vertices stored contiguously (`n + 2m` cells for an undirected graph),
-//! plus the partition-aware transform of §5 (`2n + 2m` cells), 1D vertex
-//! partitioning with an ownership map `t[v]`, synthetic graph generators, and
-//! stand-ins for the real-world datasets of Table 2.
+//! plus the partition-aware split of §5 as a view of those rows (`2n` cut
+//! indices, no copied targets), 1D vertex partitioning with an ownership map
+//! `t[v]`, synthetic graph generators, and stand-ins for the real-world
+//! datasets of Table 2.
 
 pub mod builder;
 pub mod csr;

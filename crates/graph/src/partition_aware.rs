@@ -1,192 +1,131 @@
-//! The Partition-Awareness representation of §5.
+//! The Partition-Awareness representation of §5, as a view of the CSR.
 //!
-//! Each vertex's adjacency array is split into a *local* part (neighbors
-//! owned by the same thread as `v`) and a *remote* part (neighbors owned by
-//! other threads). All local and remote arrays form two contiguous arrays
-//! with separate offsets, growing the representation from `n + 2m` to
-//! `2n + 2m` cells but letting a pushing thread update local neighbors with
-//! plain writes and reserve atomics for remote ones.
+//! A pushing thread updates *local* neighbors (owned by its own part) with
+//! plain writes and reserves atomics for *remote* ones. CSR rows are sorted
+//! and a [`BlockPartition`] owner is one contiguous id interval, so the
+//! local neighbors of `v` are one run of its row and the remote ones are
+//! the prefix and suffix around it. The view adds two cut indices per
+//! vertex (`2n` cells) to the CSR's `n + 2m`, where the paper copies the
+//! halves into a `2n + 2m`-cell second graph.
 
-use crate::{BlockPartition, CsrGraph, VertexId, Weight};
+use crate::{BlockPartition, CsrGraph, VertexId};
 
-/// Partition-aware adjacency: per-vertex local/remote neighbor split under a
-/// fixed [`BlockPartition`]. On weighted graphs the weights are split along
-/// with their targets, so weighted kernels (SSSP-Δ) can traverse the two
-/// halves without consulting the original CSR.
+/// Partition-aware adjacency: per-vertex local/remote neighbor split of a
+/// borrowed [`CsrGraph`] under a fixed [`BlockPartition`]. Any row-parallel
+/// slice (targets or weights) is cut with [`PartitionAwareGraph::split`].
 #[derive(Clone, Debug)]
-pub struct PartitionAwareGraph {
+pub struct PartitionAwareGraph<'g> {
+    graph: &'g CsrGraph,
     partition: BlockPartition,
-    local_offsets: Vec<u64>,
-    local_targets: Vec<VertexId>,
-    local_weights: Option<Vec<Weight>>,
-    remote_offsets: Vec<u64>,
-    remote_targets: Vec<VertexId>,
-    remote_weights: Option<Vec<Weight>>,
+    /// Row-relative `[start, end)` of each vertex's same-owner run.
+    cuts: Vec<[u32; 2]>,
+    local_arcs: usize,
 }
 
-impl PartitionAwareGraph {
-    /// Builds the split representation from a graph and a partition.
-    pub fn new(g: &CsrGraph, partition: BlockPartition) -> Self {
+impl<'g> PartitionAwareGraph<'g> {
+    /// Cuts every row of `g` at the bounds of its vertex's owner range.
+    pub fn new(g: &'g CsrGraph, partition: BlockPartition) -> Self {
         assert_eq!(partition.num_vertices(), g.num_vertices());
-        let n = g.num_vertices();
-        let weighted = g.is_weighted();
-        let mut local_offsets = vec![0u64; n + 1];
-        let mut remote_offsets = vec![0u64; n + 1];
-        for v in g.vertices() {
-            let owner = partition.owner(v);
-            let local = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| partition.owner(u) == owner)
-                .count() as u64;
-            local_offsets[v as usize + 1] = local;
-            remote_offsets[v as usize + 1] = g.degree(v) as u64 - local;
+        let mut cuts = Vec::with_capacity(g.num_vertices());
+        for t in 0..partition.num_parts() {
+            let owned = partition.range(t);
+            cuts.extend(owned.clone().map(|v| {
+                let row = g.neighbors(v);
+                [lower_bound(row, owned.start), lower_bound(row, owned.end)]
+            }));
         }
-        for i in 0..n {
-            local_offsets[i + 1] += local_offsets[i];
-            remote_offsets[i + 1] += remote_offsets[i];
-        }
-        let num_local = *local_offsets.last().unwrap() as usize;
-        let num_remote = *remote_offsets.last().unwrap() as usize;
-        let mut local_targets = vec![0 as VertexId; num_local];
-        let mut remote_targets = vec![0 as VertexId; num_remote];
-        let mut local_weights = weighted.then(|| vec![0 as Weight; num_local]);
-        let mut remote_weights = weighted.then(|| vec![0 as Weight; num_remote]);
-        for v in g.vertices() {
-            let owner = partition.owner(v);
-            let (mut li, mut ri) = (
-                local_offsets[v as usize] as usize,
-                remote_offsets[v as usize] as usize,
-            );
-            let weights = weighted.then(|| g.neighbor_weights(v));
-            for (k, &u) in g.neighbors(v).iter().enumerate() {
-                let w = weights.map(|ws| ws[k]);
-                if partition.owner(u) == owner {
-                    local_targets[li] = u;
-                    if let Some(w) = w {
-                        local_weights.as_mut().unwrap()[li] = w;
-                    }
-                    li += 1;
-                } else {
-                    remote_targets[ri] = u;
-                    if let Some(w) = w {
-                        remote_weights.as_mut().unwrap()[ri] = w;
-                    }
-                    ri += 1;
-                }
-            }
-        }
+        let local_arcs = cuts.iter().map(|[start, end]| (end - start) as usize).sum();
         Self {
+            graph: g,
             partition,
-            local_offsets,
-            local_targets,
-            local_weights,
-            remote_offsets,
-            remote_targets,
-            remote_weights,
+            cuts,
+            local_arcs,
         }
     }
 
-    /// The partition this representation was built for.
-    #[inline]
+    /// The graph this view cuts.
+    pub fn graph(&self) -> &'g CsrGraph {
+        self.graph
+    }
+
+    /// The partition this view was built for.
     pub fn partition(&self) -> BlockPartition {
         self.partition
     }
 
     /// Number of vertices.
-    #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.local_offsets.len() - 1
+        self.cuts.len()
+    }
+
+    /// Cuts `row`, a slice parallel to `v`'s CSR row (its neighbors or
+    /// their weights), into `(prefix, local, suffix)`: the same-owner run
+    /// and the remote entries before and after it, in row order.
+    #[inline]
+    pub fn split<'a, T>(&self, v: VertexId, row: &'a [T]) -> (&'a [T], &'a [T], &'a [T]) {
+        debug_assert_eq!(row.len(), self.graph.degree(v));
+        let [start, end] = self.cuts[v as usize];
+        let (head, suffix) = row.split_at(end as usize);
+        let (prefix, local) = head.split_at(start as usize);
+        (prefix, local, suffix)
     }
 
     /// Neighbors of `v` owned by the same thread as `v`.
     #[inline]
-    pub fn local_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.local_offsets[v as usize] as usize;
-        let hi = self.local_offsets[v as usize + 1] as usize;
-        &self.local_targets[lo..hi]
+    pub fn local_neighbors(&self, v: VertexId) -> &'g [VertexId] {
+        self.split(v, self.graph.neighbors(v)).1
     }
 
-    /// Neighbors of `v` owned by other threads.
+    /// Neighbors of `v` owned by other threads: the two remote runs of its
+    /// row, below and above the owner range.
     #[inline]
-    pub fn remote_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.remote_offsets[v as usize] as usize;
-        let hi = self.remote_offsets[v as usize + 1] as usize;
-        &self.remote_targets[lo..hi]
+    pub fn remote_neighbors(&self, v: VertexId) -> [&'g [VertexId]; 2] {
+        let (prefix, _, suffix) = self.split(v, self.graph.neighbors(v));
+        [prefix, suffix]
     }
 
-    /// Whether split edge weights are attached.
-    #[inline]
-    pub fn is_weighted(&self) -> bool {
-        self.local_weights.is_some()
-    }
-
-    /// Weights parallel to [`PartitionAwareGraph::local_neighbors`].
-    ///
-    /// # Panics
-    /// Panics if the underlying graph was unweighted.
-    #[inline]
-    pub fn local_neighbor_weights(&self, v: VertexId) -> &[Weight] {
-        let lo = self.local_offsets[v as usize] as usize;
-        let hi = self.local_offsets[v as usize + 1] as usize;
-        let w = self
-            .local_weights
-            .as_ref()
-            .expect("partition-aware graph is unweighted");
-        &w[lo..hi]
-    }
-
-    /// Weights parallel to [`PartitionAwareGraph::remote_neighbors`].
-    ///
-    /// # Panics
-    /// Panics if the underlying graph was unweighted.
-    #[inline]
-    pub fn remote_neighbor_weights(&self, v: VertexId) -> &[Weight] {
-        let lo = self.remote_offsets[v as usize] as usize;
-        let hi = self.remote_offsets[v as usize + 1] as usize;
-        let w = self
-            .remote_weights
-            .as_ref()
-            .expect("partition-aware graph is unweighted");
-        &w[lo..hi]
-    }
-
-    /// Number of same-owner neighbors of `v` — O(1) from the split offsets,
-    /// so schedulers can weigh chunks without touching the target arrays.
+    /// Number of same-owner neighbors of `v` — O(1) from the cuts, so
+    /// schedulers can weigh chunks without touching the rows.
     #[inline]
     pub fn local_degree(&self, v: VertexId) -> usize {
-        (self.local_offsets[v as usize + 1] - self.local_offsets[v as usize]) as usize
+        let [start, end] = self.cuts[v as usize];
+        (end - start) as usize
     }
 
     /// Number of foreign-owner neighbors of `v` — O(1), see
     /// [`PartitionAwareGraph::local_degree`].
     #[inline]
     pub fn remote_degree(&self, v: VertexId) -> usize {
-        (self.remote_offsets[v as usize + 1] - self.remote_offsets[v as usize]) as usize
+        self.degree(v) - self.local_degree(v)
     }
 
     /// Degree of `v` (local + remote).
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {
-        self.local_degree(v) + self.remote_degree(v)
+        self.graph.degree(v)
     }
 
     /// Total number of remote arcs: the upper bound on atomics a
     /// partition-aware push sweep issues (§5: between 0 and `2m`).
     pub fn num_remote_arcs(&self) -> usize {
-        self.remote_targets.len()
+        self.graph.num_arcs() - self.local_arcs
     }
 
     /// Total number of local arcs.
     pub fn num_local_arcs(&self) -> usize {
-        self.local_targets.len()
+        self.local_arcs
     }
+}
 
-    /// Representation size in cells: `2n + 2m` for an undirected graph, per
-    /// §5 (two offset arrays of `n`, adjacency split preserving `2m` slots).
-    pub fn representation_cells(&self) -> usize {
-        2 * self.num_vertices() + self.local_targets.len() + self.remote_targets.len()
-    }
+/// Index of the first entry of the sorted `row` that is `>= x`. Rows that
+/// lie wholly on one side of `x` (most rows, at any cut) skip the search.
+fn lower_bound(row: &[VertexId], x: VertexId) -> u32 {
+    let i = match (row.first(), row.last()) {
+        (Some(&first), _) if first >= x => 0,
+        (_, Some(&last)) if last < x => row.len(),
+        _ => row.partition_point(|&u| u < x),
+    };
+    u32::try_from(i).expect("row longer than u32::MAX")
 }
 
 #[cfg(test)]
@@ -204,13 +143,8 @@ mod tests {
             "split must not lose arcs"
         );
         for v in g.vertices() {
-            let mut merged: Vec<_> = pa
-                .local_neighbors(v)
-                .iter()
-                .chain(pa.remote_neighbors(v))
-                .copied()
-                .collect();
-            merged.sort_unstable();
+            let [prefix, suffix] = pa.remote_neighbors(v);
+            let merged = [prefix, pa.local_neighbors(v), suffix].concat();
             assert_eq!(merged, g.neighbors(v), "vertex {v}");
             assert_eq!(pa.degree(v), g.degree(v));
         }
@@ -225,20 +159,12 @@ mod tests {
             for &u in pa.local_neighbors(v) {
                 assert_eq!(part.owner(u), part.owner(v));
             }
-            for &u in pa.remote_neighbors(v) {
+            for u in pa.remote_neighbors(v).concat() {
                 assert_ne!(part.owner(u), part.owner(v));
             }
         }
         // Only the middle edge 2-3 crosses the cut.
         assert_eq!(pa.num_remote_arcs(), 2);
-    }
-
-    #[test]
-    fn representation_grows_to_2n_plus_2m() {
-        let g = gen::cycle(10);
-        let pa = PartitionAwareGraph::new(&g, BlockPartition::new(10, 2));
-        assert_eq!(pa.representation_cells(), 2 * 10 + 2 * 10);
-        assert_eq!(g.representation_cells(), 10 + 2 * 10);
     }
 
     #[test]
@@ -255,43 +181,8 @@ mod tests {
         let pa = PartitionAwareGraph::new(&g, BlockPartition::new(g.num_vertices(), 3));
         for v in g.vertices() {
             assert_eq!(pa.local_degree(v), pa.local_neighbors(v).len());
-            assert_eq!(pa.remote_degree(v), pa.remote_neighbors(v).len());
+            assert_eq!(pa.remote_degree(v), pa.remote_neighbors(v).concat().len());
         }
-    }
-
-    #[test]
-    fn weights_travel_with_their_targets() {
-        let g = gen::with_random_weights(&gen::rmat(7, 4, 6), 1, 99, 5);
-        let part = BlockPartition::new(g.num_vertices(), 4);
-        let pa = PartitionAwareGraph::new(&g, part);
-        assert!(pa.is_weighted());
-        for v in g.vertices() {
-            // Every (target, weight) pair of the CSR appears in exactly one
-            // of the two split halves, as a pair.
-            let mut split: Vec<(VertexId, crate::Weight)> = pa
-                .local_neighbors(v)
-                .iter()
-                .copied()
-                .zip(pa.local_neighbor_weights(v).iter().copied())
-                .chain(
-                    pa.remote_neighbors(v)
-                        .iter()
-                        .copied()
-                        .zip(pa.remote_neighbor_weights(v).iter().copied()),
-                )
-                .collect();
-            split.sort_unstable();
-            let mut csr: Vec<(VertexId, crate::Weight)> = g.weighted_neighbors(v).collect();
-            csr.sort_unstable();
-            assert_eq!(split, csr, "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn unweighted_graph_has_no_split_weights() {
-        let g = gen::path(8);
-        let pa = PartitionAwareGraph::new(&g, BlockPartition::new(8, 2));
-        assert!(!pa.is_weighted());
     }
 
     #[test]

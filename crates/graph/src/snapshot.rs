@@ -30,6 +30,7 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
+use crate::csr::rows_are_sorted;
 use crate::{CsrGraph, VertexId, Weight};
 
 /// File magic: the first four bytes of every `.ppg` snapshot.
@@ -192,8 +193,11 @@ pub fn load_ppg<R: Read>(mut reader: R) -> Result<CsrGraph, SnapshotError> {
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(SnapshotError::Corrupt("offsets are not monotone"));
     }
-    if targets.iter().any(|&t| t as usize >= n.max(1)) || (n == 0 && arcs > 0) {
+    if targets.iter().max().is_some_and(|&t| t as usize >= n) {
         return Err(SnapshotError::Corrupt("edge target out of range"));
+    }
+    if !rows_are_sorted(&offsets, &targets) {
+        return Err(SnapshotError::Corrupt("neighbor lists are not sorted"));
     }
     Ok(CsrGraph::from_parts(
         offsets,
@@ -264,7 +268,11 @@ mod tests {
                 .edges([(0, 1), (3, 2), (4, 0)])
                 .build(),
             GraphBuilder::undirected(7).edge(0, 1).build(), // isolated tail
-            GraphBuilder::undirected(0).build(),            // empty
+            // Descents across row boundaries, one shared by an empty row.
+            GraphBuilder::directed(4)
+                .edges([(0, 3), (2, 1), (2, 2)])
+                .build(),
+            GraphBuilder::undirected(0).build(), // empty
             GraphBuilder::undirected(3)
                 .weighted_edges(std::iter::empty())
                 .build(), // weighted, edgeless
@@ -326,6 +334,15 @@ mod tests {
         assert!(matches!(
             load_ppg(bad.as_slice()).unwrap_err(),
             SnapshotError::Corrupt(_)
+        ));
+        // Swap vertex 1's targets [0, 2] to [2, 0]: every range and offset
+        // check still passes, only the sorted-row invariant breaks.
+        let mut bad = buf.clone();
+        bad[targets_at + 4..targets_at + 8].copy_from_slice(&2u32.to_le_bytes());
+        bad[targets_at + 8..targets_at + 12].copy_from_slice(&0u32.to_le_bytes());
+        assert!(matches!(
+            load_ppg(bad.as_slice()).unwrap_err(),
+            SnapshotError::Corrupt("neighbor lists are not sorted")
         ));
     }
 

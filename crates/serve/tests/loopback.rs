@@ -2,7 +2,7 @@
 //! the answers checked against direct `registry` runs of the same
 //! configuration.
 //!
-//! Three claims under test:
+//! Four claims under test:
 //!
 //! 1. **Correctness under concurrency** — 140 queries across five
 //!    algorithms, fired from 1, then 2, then 8 client threads, each come
@@ -16,6 +16,8 @@
 //!    structured `overloaded` rejections for the overflow and normal
 //!    answers for the admitted queries: every request is answered, nothing
 //!    hangs, nothing crashes.
+//! 4. **Partition-aware serving** — forced-push `pa` queries on two-thread
+//!    workers equal direct runs of that schedule and of the default one.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -23,8 +25,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 
+use pp_core::Direction;
 use pp_engine::registry::{self, RunConfig};
-use pp_engine::{Engine, ProbeShards};
+use pp_engine::{DirectionPolicy, Engine, ExecutionMode, ProbeShards};
 use pp_graph::{gen, CsrGraph};
 use pp_serve::json::{self, Value};
 use pp_serve::{Client, ServeConfig, Server};
@@ -58,15 +61,26 @@ fn query_mix(count: usize, n: usize) -> Vec<(&'static str, u32)> {
         .collect()
 }
 
-/// Runs `algo` directly through the registry on a fresh single-threaded
-/// engine — the ground truth a served response must match exactly.
-fn direct_summary(g: &CsrGraph, algo: &str, source: u32) -> Vec<(String, String)> {
-    let engine = Engine::new(1);
+/// Runs `algo` directly through the registry on a fresh engine — the
+/// ground truth a served response must match exactly. `None` runs the
+/// default schedule on one thread; `Some(t)` runs partition-aware forced
+/// push on `t` threads.
+fn direct_summary(
+    g: &CsrGraph,
+    algo: &str,
+    source: u32,
+    pa_threads: Option<usize>,
+) -> Vec<(String, String)> {
+    let engine = Engine::new(pa_threads.unwrap_or(1));
     let probes: ProbeShards<NullProbe> = ProbeShards::new(engine.threads());
-    let cfg = RunConfig {
+    let mut cfg = RunConfig {
         source,
         ..RunConfig::new(&engine, &probes)
     };
+    if pa_threads.is_some() {
+        cfg.policy = DirectionPolicy::Fixed(Direction::Push);
+        cfg.mode = ExecutionMode::PartitionAware;
+    }
     let run = registry::run_checked(algo, &cfg, g).expect("mix contains only valid queries");
     let mut pairs: Vec<_> = run
         .summary
@@ -171,13 +185,44 @@ fn hundred_concurrent_queries_match_direct_runs_and_populate_percentiles() {
     for (algo, source, resp) in &answered {
         let expected = truth
             .entry((algo, *source))
-            .or_insert_with(|| direct_summary(&g, algo, *source));
+            .or_insert_with(|| direct_summary(&g, algo, *source, None));
         assert_eq!(
             &response_summary(resp),
             expected,
             "served {algo} from {source} diverged from the direct run"
         );
     }
+}
+
+#[test]
+fn partition_aware_push_queries_match_direct_runs() {
+    // Two engine threads per worker: a two-part split, so remote arcs go
+    // through the owner-computes exchange.
+    let g = test_graph();
+    let cfg = ServeConfig {
+        workers: 1,
+        threads: 2,
+        name: "pa".to_string(),
+        ..ServeConfig::default()
+    };
+    let (addr, server) = boot(g.clone(), cfg);
+    let mut client = Client::connect(addr).expect("connect");
+    let mix = query_mix(40, g.num_vertices());
+    let mix: Vec<_> = mix.into_iter().filter(|q| q.0 != "pagerank").collect();
+    for &(algo, source) in &mix {
+        let params = r#""params": {"direction": "push", "mode": "pa"}"#;
+        let req = format!(r#"{{"algo": "{algo}", "source": {source}, {params}}}"#);
+        let resp = client.request(&req).expect("response");
+        assert!(resp.contains(r#""mode": "pa""#), "{resp}");
+        let expected = direct_summary(&g, algo, source, Some(2));
+        assert_eq!(response_summary(&resp), expected, "{algo} from {source}");
+        // The same digest as the default atomic adaptive schedule.
+        assert_eq!(expected, direct_summary(&g, algo, source, None), "{algo}");
+    }
+    let shutdown = r#"{"op": "shutdown"}"#;
+    client.request(shutdown).expect("shutdown ack");
+    let stats = server.join().expect("server thread");
+    assert_eq!((stats.served, stats.errors), (mix.len() as u64, 0));
 }
 
 #[test]
@@ -240,7 +285,7 @@ fn pipelined_bfs_flood_coalesces_and_stays_bit_equal_to_solo_runs() {
         let source = ((id * 37) % n) as u32;
         let expected = truth
             .entry(source)
-            .or_insert_with(|| direct_summary(&g, "bfs", source));
+            .or_insert_with(|| direct_summary(&g, "bfs", source, None));
         assert_eq!(
             &response_summary(line),
             expected,

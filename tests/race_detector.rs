@@ -123,7 +123,7 @@ fn broken_kernel_is_caught_at_the_offending_vertex() {
     let mut ctx = PaContext::new(&g, 2);
     let mut frontier = Frontier::single(&g, 0);
     while !frontier.is_empty() {
-        let (next, _) = ctx.push_round(&engine, &g, &mut frontier, &kernel, &probes);
+        let (next, _) = ctx.push_round(&engine, &mut frontier, &kernel, &probes);
         frontier = next;
     }
 }
