@@ -186,6 +186,30 @@ mod tests {
     }
 
     #[test]
+    fn weights_travel_with_their_targets() {
+        let g = gen::with_random_weights(&gen::rmat(7, 4, 6), 1, 99, 5);
+        let part = BlockPartition::new(g.num_vertices(), 4);
+        let pa = PartitionAwareGraph::new(&g, part);
+        for v in g.vertices() {
+            // Cutting the weight row where the target row is cut keeps every
+            // (target, weight) pair of the CSR together, in the same piece.
+            let (tp, tl, ts) = pa.split(v, g.neighbors(v));
+            let (wp, wl, ws) = pa.split(v, g.neighbor_weights(v));
+            assert_eq!(tl, pa.local_neighbors(v), "vertex {v}");
+            assert_eq!([tp, ts], pa.remote_neighbors(v), "vertex {v}");
+            let split: Vec<(VertexId, crate::Weight)> = [(tp, wp), (tl, wl), (ts, ws)]
+                .into_iter()
+                .flat_map(|(t, w)| {
+                    assert_eq!(t.len(), w.len(), "vertex {v}");
+                    t.iter().copied().zip(w.iter().copied())
+                })
+                .collect();
+            let csr: Vec<(VertexId, crate::Weight)> = g.weighted_neighbors(v).collect();
+            assert_eq!(split, csr, "vertex {v}");
+        }
+    }
+
+    #[test]
     fn bipartite_cross_partition_is_all_remote() {
         // §5: the all-remote extreme occurs when the graph is bipartite and
         // each thread owns only one side. Build K_{2,2} with sides {0,1} and
