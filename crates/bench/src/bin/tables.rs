@@ -14,6 +14,8 @@ use pp_bench::experiments::{self, Ctx};
 const USAGE: &str = "\
 usage: tables <experiment> [--scale test|small|medium] [--threads N] [--samples K]
 
+defaults: --scale small, --threads <available parallelism>, --samples 3
+
 experiments:
   table1   PAPI-style event counts for PR/TC/BGC/SSSP (push|push+PA|pull)
   table2   dataset statistics

@@ -23,7 +23,8 @@ use pp_graph::datasets::Scale;
 pub struct Ctx {
     /// Dataset scale for every stand-in graph.
     pub scale: Scale,
-    /// Worker threads (the paper's `T`).
+    /// Worker threads (the paper's `T`); defaults to the machine's
+    /// available parallelism so no timing row is oversubscribed.
     pub threads: usize,
     /// Timing samples per measurement (median reported).
     pub samples: usize,
@@ -33,7 +34,7 @@ impl Default for Ctx {
     fn default() -> Self {
         Self {
             scale: Scale::Small,
-            threads: 8,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             samples: 3,
         }
     }

@@ -37,10 +37,7 @@ pub fn run(ctx: Ctx) {
         "§6.1, Table 1 — PR/BGC per iteration, TC/SSSP totals",
     );
     // Table 1 columns use the sparser scale for the heavy quadratic kernels.
-    let tc_scale = match ctx.scale {
-        Scale::Test => Scale::Test,
-        _ => Scale::Test,
-    };
+    let tc_scale = Scale::Test;
 
     with_threads(ctx.threads, || {
         // --- PageRank: orc (dense) and rca (sparse), Push/Push+PA/Pull. ---

@@ -48,7 +48,7 @@ pub fn run(ctx: Ctx) {
                         &g,
                         &pa,
                         &opts,
-                        pagerank::PushSync::Locks,
+                        pagerank::PushSync::Cas,
                         &pp_telemetry::NullProbe,
                     )
                 })));

@@ -1,7 +1,6 @@
-//! Shared helpers for the benchmark harness: wall-clock measurement,
-//! thread-pool pinning, and table formatting used by both the `tables`
-//! binary and the Criterion benches — plus one experiment module per table
-//! and figure of the paper (see [`experiments`]).
+//! Shared helpers for the `tables` binary: wall-clock measurement and
+//! thread-pool pinning — plus one experiment module per table and figure
+//! of the paper (see [`experiments`]).
 
 pub mod experiments;
 
@@ -24,24 +23,13 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
         .install(f)
 }
 
-/// Median of several timed runs of `f` (the measurement loop used by the
-/// table harness; Criterion handles the statistical benches).
+/// Median of several timed runs of `f` (the measurement loop behind every
+/// timing row the table harness prints).
 pub fn median_time<R>(samples: usize, mut f: impl FnMut() -> R) -> Duration {
     assert!(samples >= 1);
     let mut times: Vec<Duration> = (0..samples).map(|_| time_once(&mut f).0).collect();
     times.sort_unstable();
     times[times.len() / 2]
-}
-
-/// Formats a duration in the unit the paper's tables use (`ms` with three
-/// significant digits).
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats seconds (paper's figure axes).
-pub fn fmt_s(d: Duration) -> String {
-    format!("{:.4}", d.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -70,11 +58,5 @@ mod tests {
         });
         assert_eq!(i, 5);
         assert!(d >= Duration::from_micros(5));
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_ms(Duration::from_millis(1500)), "1500.000");
-        assert_eq!(fmt_s(Duration::from_millis(250)), "0.2500");
     }
 }

@@ -16,8 +16,9 @@
 //!   near-streaming sweeps on meshes/road networks;
 //! * [`apply_permutation`] — relabel a graph with any bijection.
 //!
-//! The cache ablation bench (`benches/ablation.rs`) runs instrumented
-//! PageRank over original vs. reordered layouts to regenerate the effect.
+//! `tables ext3` (the vertex-order × prefetcher cache ablation) runs
+//! instrumented PageRank over original vs. reordered layouts to regenerate
+//! the effect.
 
 use crate::{CsrGraph, GraphBuilder, VertexId};
 
